@@ -1,150 +1,30 @@
 """Learn minimal probabilistic-threshold LTL specifications from samples
-of positive and negative discrete-time Markov chains."""
+of positive and negative discrete-time Markov chains.
 
-from .dtmc import (
-    Dtmc,
-    DtmcError,
-    Mdp,
-    Sample,
-    bsccs,
-    dtmc_to_json,
-    dtmc_to_prism,
-    induced_dtmc,
-    parse_json_dtmc,
-    parse_prism_explicit,
-    project,
-    validate,
-)
-from .engine import (
-    LinearSolveError,
-    ProbVector,
-    RefinedChain,
-    RefinementRound,
-    SingularSystemError,
-    check_ltl,
-    fg_oracle,
-    gf_oracle,
-    initial_refinement,
-    next_prob,
-    refine,
-    solve_linear,
-    until_prob,
-)
-from .learner import (
-    EngineFailure,
-    LearnConfig,
-    LearnResult,
-    NoSolutionError,
-    PtsResult,
-    RunStats,
-    ScoredCandidate,
-    SearchState,
-    best_threshold,
-    bsc,
-    check_consistency,
-    gbe_init,
-    gbe_step,
-    learn,
-    make_scored,
-    pltl_holds,
-    pts,
-    remove_formulas,
-    size_bucket,
-)
-from .ltl import (
-    And,
-    Finally,
-    Globally,
-    Lit,
-    LtlFormula,
-    LtlParseError,
-    Next,
-    Or,
-    PltlAnd,
-    PltlAtom,
-    PltlFormula,
-    PltlOr,
-    Until,
-    boolean_simplify_applies,
-    canonicalize,
-    is_complement,
-    is_propositional,
-    measure,
-    nnf_dual,
-    parse_ltl,
-    pltl_size,
-    print_ltl,
-    print_pltl,
-    temporal_simplify_applies,
-)
+The names below are the library surface; the search internals live in
+the submodules (``ltl``, ``dtmc``, ``engine``, ``learner``, ``benchgen``).
+"""
+
+from .dtmc import Dtmc, DtmcError, Sample, parse_json_dtmc, parse_prism_explicit
+from .engine import ProbVector, check_ltl
+from .learner import EngineFailure, LearnConfig, LearnResult, NoSolutionError, learn
+from .ltl import LtlParseError, parse_ltl, print_ltl, print_pltl
 
 __all__ = [
-    "And",
     "Dtmc",
     "DtmcError",
     "EngineFailure",
-    "Finally",
-    "Globally",
     "LearnConfig",
     "LearnResult",
-    "LinearSolveError",
-    "Lit",
-    "LtlFormula",
     "LtlParseError",
-    "Mdp",
-    "Next",
     "NoSolutionError",
-    "Or",
-    "PltlAnd",
-    "PltlAtom",
-    "PltlFormula",
-    "PltlOr",
     "ProbVector",
-    "PtsResult",
-    "RefinedChain",
-    "RefinementRound",
-    "RunStats",
     "Sample",
-    "ScoredCandidate",
-    "SearchState",
-    "SingularSystemError",
-    "Until",
-    "best_threshold",
-    "boolean_simplify_applies",
-    "bsc",
-    "bsccs",
-    "canonicalize",
-    "check_consistency",
     "check_ltl",
-    "dtmc_to_json",
-    "dtmc_to_prism",
-    "fg_oracle",
-    "gbe_init",
-    "gbe_step",
-    "gf_oracle",
-    "induced_dtmc",
-    "initial_refinement",
-    "is_complement",
-    "is_propositional",
     "learn",
-    "make_scored",
-    "measure",
-    "next_prob",
-    "nnf_dual",
     "parse_json_dtmc",
     "parse_ltl",
     "parse_prism_explicit",
-    "pltl_holds",
-    "pltl_size",
     "print_ltl",
     "print_pltl",
-    "project",
-    "pts",
-    "refine",
-    "remove_formulas",
-    "size_bucket",
-    "solve_linear",
-    "temporal_simplify_applies",
-    "until_prob",
-    "validate",
 ]

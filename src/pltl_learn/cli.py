@@ -83,7 +83,6 @@ def _cmd_learn(args) -> int:
         max_depth=int(pick(args.max_depth, "max_depth", 2)),
         delta=float(pick(args.delta, "delta", 0.05)),
         bool_limit=int(pick(args.bool_limit, "bool_limit", 10)),
-        jobs=args.jobs,
         eager_return=args.eager_return,
         all_minimal=args.all_minimal,
     )
@@ -142,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("-D", "--max-depth", type=int, default=None, help="temporal depth bound")
     p_learn.add_argument("--delta", type=float, default=None, help="required atom margin")
     p_learn.add_argument("--bool-limit", type=int, default=None, help="combination shortlist length")
-    p_learn.add_argument("--jobs", type=int, default=1, help="evaluation threads")
     p_learn.add_argument("--eager-return", action="store_true", help="stop at the first hit")
     p_learn.add_argument(
         "--all-minimal", action="store_true", help="report every consistent atom at the winning size"

@@ -2,15 +2,13 @@
 
 States are 0-based integers.  Labels are stored as frozensets of
 proposition names.  Transition structure is kept as a flat edge list
-(src, dst, prob); dense row views are materialized lazily.
+(src, dst, prob); per-state successor lists are built lazily.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 __all__ = [
     "Dtmc",
@@ -24,7 +22,6 @@ __all__ = [
     "dtmc_to_prism",
     "project",
     "induced_dtmc",
-    "bsccs",
 ]
 
 _ROW_TOL = 1e-9
@@ -62,16 +59,6 @@ class Dtmc:
         for s, t, p in self.transitions:
             out[s].append((t, p))
         return tuple(tuple(r) for r in out)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.n_states, self.n_states))
-        for s, t, p in self.transitions:
-            m[s, t] += p
-        return m
-
-    def holds(self, state: int, prop: str) -> bool:
-        return prop in self.labels[state]
 
 
 def validate(m: Dtmc) -> list[str]:
@@ -353,63 +340,3 @@ def dtmc_to_prism(m: Dtmc) -> tuple[str, str]:
         if ids:
             lab.append(f"{s}: " + " ".join(str(i) for i in ids))
     return "\n".join(tra) + "\n", "\n".join(lab) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Graph structure
-
-
-def bsccs(m: Dtmc) -> list[frozenset[int]]:
-    """Bottom strongly connected components, sorted by smallest member.
-
-    Iterative Tarjan; a component is bottom when no edge leaves it.
-    """
-    rows = m.rows
-    index = [-1] * m.n_states
-    low = [0] * m.n_states
-    on_stack = [False] * m.n_states
-    stack: list[int] = []
-    counter = 0
-    comps: list[list[int]] = []
-    comp_of = [-1] * m.n_states
-
-    for root in range(m.n_states):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            if ei < len(rows[v]):
-                work[-1] = (v, ei + 1)
-                w = rows[v][ei][0]
-                if index[w] == -1:
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp_of[w] = len(comps)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-
-    bottom = []
-    for ci, comp in enumerate(comps):
-        if all(comp_of[t] == ci for v in comp for t, _ in rows[v]):
-            bottom.append(frozenset(comp))
-    bottom.sort(key=min)
-    return bottom

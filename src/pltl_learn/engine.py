@@ -38,10 +38,6 @@ __all__ = [
     "LinearSolveError",
     "SingularSystemError",
     "solve_linear",
-    "next_prob",
-    "until_prob",
-    "gf_oracle",
-    "fg_oracle",
     "ProbVector",
     "RefinedChain",
     "RefinementRound",
@@ -178,58 +174,6 @@ def _until_vec(rows, a: list[bool], b: list[bool]) -> list[float]:
         for j, s in enumerate(maybe):
             out[s] = min(1.0, max(0.0, float(x[j])))
     return out
-
-
-def _as_pred(m: Dtmc, pred):
-    if callable(pred):
-        return pred
-    name = str(pred)
-    return lambda s: name in m.labels[s]
-
-
-def next_prob(m: Dtmc, pred) -> list[float]:
-    """Per-state probability that the successor satisfies pred."""
-    p = _as_pred(m, pred)
-    return _next_vec(m.rows, [p(t) for t in range(m.n_states)])
-
-
-def until_prob(m: Dtmc, a, b) -> list[float]:
-    """Per-state probability of reaching a b-state along a-states."""
-    pa, pb = _as_pred(m, a), _as_pred(m, b)
-    return _until_vec(
-        m.rows,
-        [pa(s) for s in range(m.n_states)],
-        [pb(s) for s in range(m.n_states)],
-    )
-
-
-def gf_oracle(m: Dtmc, pred) -> list[float]:
-    """Per-state probability that pred holds infinitely often.
-
-    A run almost surely settles in a bottom SCC and then visits each of
-    its states infinitely often, so this is the probability of reaching a
-    bottom SCC containing a pred-state.
-    """
-    from .dtmc import bsccs
-
-    p = _as_pred(m, pred)
-    good = set()
-    for comp in bsccs(m):
-        if any(p(s) for s in comp):
-            good |= comp
-    return _until_vec(m.rows, [True] * m.n_states, [s in good for s in range(m.n_states)])
-
-
-def fg_oracle(m: Dtmc, pred) -> list[float]:
-    """Per-state probability that pred eventually holds forever."""
-    from .dtmc import bsccs
-
-    p = _as_pred(m, pred)
-    good = set()
-    for comp in bsccs(m):
-        if all(p(s) for s in comp):
-            good |= comp
-    return _until_vec(m.rows, [True] * m.n_states, [s in good for s in range(m.n_states)])
 
 
 # ---------------------------------------------------------------------------

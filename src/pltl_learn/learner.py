@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .dtmc import Dtmc, Sample
@@ -76,17 +75,15 @@ class LearnConfig:
     delta is the required margin between the worst positive and best
     negative probability before a single atom counts as consistent.
     bool_limit caps the high-score list used for Boolean combinations.
-    jobs > 1 evaluates candidate bodies in a thread pool.  eager_return
-    stops at the first consistent formula instead of finishing the size
-    level; all_minimal reports every consistent atom at the winning size
-    rather than only the widest-margin ones.
+    eager_return stops at the first consistent formula instead of
+    finishing the size level; all_minimal reports every consistent atom
+    at the winning size rather than only the widest-margin ones.
     """
 
     max_size: int
     max_depth: int = 2
     delta: float = 0.05
     bool_limit: int = 10
-    jobs: int = 1
     eager_return: bool = False
     all_minimal: bool = False
 
@@ -99,8 +96,6 @@ class LearnConfig:
             raise ValueError("delta must lie in (0, 0.1)")
         if self.bool_limit < 1:
             raise ValueError("bool_limit must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
 
 @dataclass
@@ -217,14 +212,14 @@ def _consider(state: SearchState, sink: list[LtlFormula], cand: LtlFormula, bino
     sink.append(c)
 
 
-def gbe_step(state: SearchState, n: int, rejected=None) -> None:
+def gbe_step(state: SearchState, n: int) -> None:
     """Fill the size-n layer from the smaller layers already present.
 
     Unary operators lift size n-1; binary ones combine sizes k and
     n-1-k.  Depth bookkeeping pairs the buckets so each combination is
     produced exactly once per operand multiset; commutativity of & and |
-    is covered by canonical ordering plus the duplicate check.  rejected
-    is an optional set of formulas to drop on sight.
+    is covered by canonical ordering plus the duplicate check.  Formulas
+    leave a layer only through remove_formulas.
     """
     if n < 2:
         raise ValueError("size-one layer is built by gbe_init")
@@ -236,7 +231,6 @@ def gbe_step(state: SearchState, n: int, rejected=None) -> None:
     D = state.max_depth
     bk = state.buckets
     new: list[list[LtlFormula]] = [[] for _ in range(D + 1)]
-    drop = frozenset(rejected) if rejected else frozenset()
 
     for d in range(D + 1):
         sink = new[d]
@@ -262,11 +256,6 @@ def gbe_step(state: SearchState, n: int, rejected=None) -> None:
                         for right in rhs[d - 1]:
                             _consider(state, sink, Until(left, right), ("U", left, right))
 
-    if drop:
-        for d in range(D + 1):
-            kept = [f for f in new[d] if f not in drop]
-            state.stats.add("pruned_boolean", n, len(new[d]) - len(kept))
-            new[d] = kept
     state.buckets[n] = new
 
 
@@ -304,7 +293,6 @@ def pts(
     sample: Sample,
     delta: float,
     *,
-    jobs: int = 1,
     stats: RunStats | None = None,
 ) -> PtsResult:
     """Evaluate candidate bodies and pick consistent thresholded atoms.
@@ -317,30 +305,21 @@ def pts(
     reported as a discard; everything else survives with its
     initial-state values.
     """
-    formulas = list(formulas)
-
-    def checked(f: LtlFormula, m, role: str, i: int):
-        try:
-            return check_ltl(m, f)
-        except LinearSolveError as err:
-            raise EngineFailure(f, role, i, err) from err
-
-    def evaluate(f: LtlFormula):
-        pos = tuple(checked(f, m, "positive", i) for i, m in enumerate(sample.positive))
-        neg = tuple(checked(f, m, "negative", i) for i, m in enumerate(sample.negative))
-        return pos, neg
-
-    if jobs > 1 and len(formulas) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            values = list(ex.map(evaluate, formulas))
-    else:
-        values = [evaluate(f) for f in formulas]
-
     n_chains = len(sample.positive) + len(sample.negative)
     consistent: list[tuple[PltlAtom, float]] = []
     discards: list[LtlFormula] = []
     kept: list[tuple[LtlFormula, tuple[float, ...], tuple[float, ...]]] = []
-    for f, (pvecs, nvecs) in zip(formulas, values):
+    for f in formulas:
+        pvecs, nvecs = [], []
+        for role, chains, vecs in (
+            ("positive", sample.positive, pvecs),
+            ("negative", sample.negative, nvecs),
+        ):
+            for i, m in enumerate(chains):
+                try:
+                    vecs.append(check_ltl(m, f))
+                except LinearSolveError as err:
+                    raise EngineFailure(f, role, i, err) from err
         if stats is not None:
             stats.add("checked", f.size)
             stats.engine_calls += n_chains
@@ -510,13 +489,7 @@ def learn(sample: Sample, config: LearnConfig) -> LearnResult:
             gbe_step(state, n)
             stats.add_time("gbe", time.perf_counter() - t0)
         t0 = time.perf_counter()
-        res = pts(
-            size_bucket(state, n),
-            sample,
-            config.delta,
-            jobs=config.jobs,
-            stats=stats,
-        )
+        res = pts(size_bucket(state, n), sample, config.delta, stats=stats)
         stats.add_time("pts", time.perf_counter() - t0)
         if res.found:
             if run.best_size is None or n < run.best_size:

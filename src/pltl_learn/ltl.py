@@ -23,7 +23,6 @@ __all__ = [
     "LtlParseError",
     "parse_ltl",
     "print_ltl",
-    "measure",
     "canonicalize",
     "nnf_dual",
     "is_complement",
@@ -156,11 +155,6 @@ class Until(LtlFormula):
         )
 
     __hash__ = _node_hash
-
-
-def measure(f: LtlFormula) -> tuple[int, int]:
-    """Return (size, depth) of a formula."""
-    return f.size, f.depth
 
 
 def is_propositional(f: LtlFormula) -> bool:

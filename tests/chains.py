@@ -4,7 +4,10 @@ The random chains use transition masses that are multiples of 1/64, so
 row sums are exactly 1.0 in floating point and validation never trips on
 generator dust.  The oracles compose only graph passes and single linear
 solves (until_prob / next_prob / BSCC characterizations); none of them
-touch the prophecy-refinement path they are used to judge.
+touch the prophecy-refinement path they are used to judge.  The library
+never needs them, so they live here: next_prob, until_prob, gf_oracle,
+fg_oracle, the bottom-SCC search bsccs they rest on, and dense_matrix,
+the chain's transition matrix as a numpy array.
 """
 from __future__ import annotations
 
@@ -13,7 +16,119 @@ import random
 import numpy as np
 
 from pltl_learn.dtmc import Dtmc
-from pltl_learn.engine import fg_oracle, gf_oracle, next_prob, until_prob
+from pltl_learn.engine import _next_vec, _until_vec
+
+
+def dense_matrix(m: Dtmc) -> np.ndarray:
+    """Transition probabilities as an n_states x n_states array."""
+    out = np.zeros((m.n_states, m.n_states))
+    for s, t, p in m.transitions:
+        out[s, t] += p
+    return out
+
+
+def bsccs(m: Dtmc) -> list[frozenset[int]]:
+    """Bottom strongly connected components, sorted by smallest member.
+
+    Iterative Tarjan; a component is bottom when no edge leaves it.
+    """
+    rows = m.rows
+    index = [-1] * m.n_states
+    low = [0] * m.n_states
+    on_stack = [False] * m.n_states
+    stack: list[int] = []
+    counter = 0
+    comps: list[list[int]] = []
+    comp_of = [-1] * m.n_states
+
+    for root in range(m.n_states):
+        if index[root] != -1:
+            continue
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            v, ei = work[-1]
+            if ei == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            if ei < len(rows[v]):
+                work[-1] = (v, ei + 1)
+                w = rows[v][ei][0]
+                if index[w] == -1:
+                    work.append((w, 0))
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp_of[w] = len(comps)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+
+    bottom = []
+    for ci, comp in enumerate(comps):
+        if all(comp_of[t] == ci for v in comp for t, _ in rows[v]):
+            bottom.append(frozenset(comp))
+    bottom.sort(key=min)
+    return bottom
+
+
+def _as_pred(m: Dtmc, pred):
+    if callable(pred):
+        return pred
+    name = str(pred)
+    return lambda s: name in m.labels[s]
+
+
+def next_prob(m: Dtmc, pred) -> list[float]:
+    """Per-state probability that the successor satisfies pred."""
+    p = _as_pred(m, pred)
+    return _next_vec(m.rows, [p(t) for t in range(m.n_states)])
+
+
+def until_prob(m: Dtmc, a, b) -> list[float]:
+    """Per-state probability of reaching a b-state along a-states."""
+    pa, pb = _as_pred(m, a), _as_pred(m, b)
+    return _until_vec(
+        m.rows,
+        [pa(s) for s in range(m.n_states)],
+        [pb(s) for s in range(m.n_states)],
+    )
+
+
+def gf_oracle(m: Dtmc, pred) -> list[float]:
+    """Per-state probability that pred holds infinitely often.
+
+    A run almost surely settles in a bottom SCC and then visits each of
+    its states infinitely often, so this is the probability of reaching a
+    bottom SCC containing a pred-state.
+    """
+    p = _as_pred(m, pred)
+    good = set()
+    for comp in bsccs(m):
+        if any(p(s) for s in comp):
+            good |= comp
+    return _until_vec(m.rows, [True] * m.n_states, [s in good for s in range(m.n_states)])
+
+
+def fg_oracle(m: Dtmc, pred) -> list[float]:
+    """Per-state probability that pred eventually holds forever."""
+    p = _as_pred(m, pred)
+    good = set()
+    for comp in bsccs(m):
+        if all(p(s) for s in comp):
+            good |= comp
+    return _until_vec(m.rows, [True] * m.n_states, [s in good for s in range(m.n_states)])
 
 
 def _masses(rng: random.Random, k: int) -> list[float]:
@@ -57,7 +172,7 @@ def g_prob(m: Dtmc, prop: str) -> list[float]:
 
 def xx_prob(m: Dtmc, prop: str) -> list[float]:
     one = np.array(next_prob(m, prop))
-    return list(m.matrix @ one)
+    return list(dense_matrix(m) @ one)
 
 
 def seq_prob(m: Dtmc, first: str, second: str) -> list[float]:

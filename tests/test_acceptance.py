@@ -6,6 +6,7 @@ engine accuracy 1e-6 per state, refinement bookkeeping 1e-9, threshold
 pins exact or 1e-9 as noted, wall-clock budgets per block.
 """
 import math
+import os
 import random
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import chains
+import pltl_learn
 from lasso import checker
 from pltl_learn.benchgen import (
     conjunction_sample,
@@ -282,11 +284,15 @@ def test_criterion_5c_until_family():
 
 
 def _cli(*argv: str) -> subprocess.CompletedProcess:
+    # The child imports the same pltl_learn as this process, installed or not.
+    src = str(Path(pltl_learn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "pltl_learn.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -96,12 +96,11 @@ def test_learn_stats_go_to_stderr(safety_dir, capsys):
     assert "stats[phase]:" in err
 
 
-def test_learn_jobs_flag_keeps_output(safety_dir, capsys):
-    rc1, out1, _ = run(capsys, "learn", "--sample", str(safety_dir / "manifest.json"))
-    rc2, out2, _ = run(
-        capsys, "learn", "--sample", str(safety_dir / "manifest.json"), "--jobs", "2"
-    )
-    assert (rc1, out1) == (rc2, out2)
+def test_learn_jobs_flag_is_unknown(safety_dir, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["learn", "--sample", str(safety_dir / "manifest.json"), "--jobs", "2"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_learn_missing_manifest(tmp_path, capsys):

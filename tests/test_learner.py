@@ -84,8 +84,6 @@ def test_config_validation():
             LearnConfig(max_size=2, delta=bad)
     with pytest.raises(ValueError, match="bool_limit"):
         LearnConfig(max_size=2, bool_limit=0)
-    with pytest.raises(ValueError, match="jobs"):
-        LearnConfig(max_size=2, jobs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +137,6 @@ def test_gbe_step_order_errors():
     gbe_step(state, 2)
     with pytest.raises(ValueError, match="already built"):
         gbe_step(state, 2)
-
-
-def test_gbe_rejected_dropped_on_sight():
-    state = gbe_init(("p",))
-    gbe_step(state, 2, rejected={Finally(Lit("p", False))})
-    bucket = _prints(size_bucket(state, 2))
-    assert "F(!p)" not in bucket and len(bucket) == 5
-    assert state.stats.pruned_boolean.get(2) == 1
 
 
 def test_remove_formulas_shrinks_bucket():
@@ -534,6 +524,20 @@ def test_learn_gridworld():
     assert result.stats.constructed == {1: 4, 2: 12}
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the two margins differ by 4 ulps of solver rounding and pts keeps m == top",
+)
+def test_learn_gridworld_seed_5_reports_both_tied_winners():
+    # F(goal) and G(!trap) separate the seed-5 sample by the same margin,
+    # 0.201041, so both are widest-margin winners.
+    result = learn(gridworld_sample(seed=5), LearnConfig(max_size=3, max_depth=2))
+    assert [print_pltl(f) for f in result.formulas] == [
+        "P>0.609157 [F(goal)]",
+        "P>0.609157 [G(!trap)]",
+    ]
+
+
 def test_learn_until_needs_size_three():
     with pytest.raises(NoSolutionError):
         learn(until_sample(), LearnConfig(max_size=2, max_depth=2))
@@ -602,12 +606,6 @@ def test_learn_is_deterministic():
     a = learn(until_sample(), cfg)
     b = learn(until_sample(), cfg)
     assert _result_fingerprint(a) == _result_fingerprint(b)
-
-
-def test_learn_jobs_do_not_change_the_result():
-    one = learn(until_sample(), LearnConfig(max_size=4, max_depth=2, jobs=1))
-    two = learn(until_sample(), LearnConfig(max_size=4, max_depth=2, jobs=2))
-    assert _result_fingerprint(one) == _result_fingerprint(two)
 
 
 # ---------------------------------------------------------------------------

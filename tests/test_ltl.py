@@ -20,7 +20,6 @@ from pltl_learn.ltl import (
     canonicalize,
     is_complement,
     is_propositional,
-    measure,
     nnf_dual,
     parse_ltl,
     pltl_size,
@@ -63,7 +62,7 @@ def test_parse_negation_becomes_dual():
 def test_parse_right_nested_until():
     f = parse_ltl("a U (b U a)")
     assert f == Until(Lit("a"), Until(Lit("b"), Lit("a")))
-    assert measure(f) == (5, 2)
+    assert _size_depth(f) == (5, 2)
 
 
 def test_parse_negated_until_rejected():
@@ -135,22 +134,26 @@ def test_roundtrip_enumerated():
 # size / depth
 
 
+def _size_depth(f):
+    return f.size, f.depth
+
+
 def test_measure_nested_eventually():
-    assert measure(parse_ltl("F(p & F(!q))")) == (5, 2)
+    assert _size_depth(parse_ltl("F(p & F(!q))")) == (5, 2)
 
 
 def test_measure_base_case():
-    assert measure(Lit("p")) == (1, 0)
-    assert measure(Lit("p", False)) == (1, 0)
+    assert _size_depth(Lit("p")) == (1, 0)
+    assert _size_depth(Lit("p", False)) == (1, 0)
 
 
 def test_measure_next_under_until():
-    assert measure(parse_ltl("(X p) U q")) == (4, 2)
+    assert _size_depth(parse_ltl("(X p) U q")) == (4, 2)
 
 
 def test_measure_boolean_depth_is_max():
-    assert measure(parse_ltl("(F(a) & G(b))")) == (5, 1)
-    assert measure(parse_ltl("(a | b)")) == (3, 0)
+    assert _size_depth(parse_ltl("(F(a) & G(b))")) == (5, 1)
+    assert _size_depth(parse_ltl("(a | b)")) == (3, 0)
 
 
 def _ref_measure(f):
@@ -169,7 +172,7 @@ def test_measure_matches_reference_recursion():
     rng = random.Random(11)
     for _ in range(10_000):
         f = random_formula(rng, rng.randint(1, 12))
-        assert measure(f) == _ref_measure(f)
+        assert _size_depth(f) == _ref_measure(f)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +187,7 @@ def test_canonicalize_flattens_associative_chains():
     variants = ["(a & (c & b))", "((a & b) & c)", "(c & (a & b))", "((b & c) & a)"]
     forms = {canonicalize(parse_ltl(v)) for v in variants}
     assert len(forms) == 1
-    assert measure(forms.pop()) == (5, 0)
+    assert _size_depth(forms.pop()) == (5, 0)
 
 
 def test_canonicalize_keeps_until_ordered():
