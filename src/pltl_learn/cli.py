@@ -16,10 +16,12 @@ from . import benchgen
 from .dtmc import Dtmc, DtmcError, Sample, parse_json_dtmc, parse_prism_explicit
 from .engine import check_ltl
 from .learner import LearnConfig, NoSolutionError, learn
-from .ltl import LtlParseError, parse_ltl, print_pltl
+from .ltl import parse_ltl, print_pltl
 
 
 def _load_chain(entry: dict, base: Path) -> Dtmc:
+    if not isinstance(entry, dict):
+        raise DtmcError(f"chain entry {entry!r} is not an object")
     fmt = entry.get("format", "json")
     if fmt == "json":
         return parse_json_dtmc((base / entry["path"]).read_text())
@@ -60,15 +62,22 @@ def _print_stats(s) -> None:
 def _cmd_learn(args) -> int:
     manifest_path = Path(args.sample)
     doc = json.loads(manifest_path.read_text())
+    if not isinstance(doc, dict):
+        raise DtmcError("a manifest must be a JSON object")
     base = manifest_path.resolve().parent
     for side in ("positive", "negative"):
-        if side not in doc:
+        if not isinstance(doc.get(side), list):
             raise DtmcError(f"manifest lacks a {side!r} list")
     positive = [_load_chain(e, base) for e in doc["positive"]]
     negative = [_load_chain(e, base) for e in doc["negative"]]
-    sample = Sample.build(positive, negative, doc.get("ap"))
+    ap = doc.get("ap")
+    if ap is not None and not isinstance(ap, list):
+        raise DtmcError("manifest ap must be a list of names")
+    sample = Sample.build(positive, negative, ap)
 
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise DtmcError("manifest params must be an object")
 
     def pick(flag, key, default):
         if flag is not None:
@@ -168,10 +177,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LtlParseError, DtmcError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except KeyError as e:

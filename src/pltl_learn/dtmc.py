@@ -83,7 +83,7 @@ def validate(m: Dtmc) -> list[str]:
         if not (0 <= s < m.n_states and 0 <= t < m.n_states):
             errs.append(f"transition ({s},{t}) out of range")
             continue
-        if p <= 0.0:
+        if not p > 0.0:
             errs.append(f"transition ({s},{t}) has non-positive probability {p}")
         if (s, t) in seen:
             errs.append(f"duplicate transition ({s},{t})")
@@ -193,6 +193,18 @@ def induced_dtmc(mdp: Mdp, strategy: dict[int, str]) -> Dtmc:
 # JSON format
 
 
+def _json_int(v, what: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise DtmcError(f"{what} must be an integer, got {type(v).__name__}")
+    return v
+
+
+def _json_list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise DtmcError(f"{what} must be a list, got {type(v).__name__}")
+    return v
+
+
 def parse_json_dtmc(text: str) -> Dtmc:
     """Read the JSON chain format.
 
@@ -204,12 +216,13 @@ def parse_json_dtmc(text: str) -> Dtmc:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DtmcError(f"bad JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise DtmcError(f"a chain must be a JSON object, got {type(doc).__name__}")
     for key in ("states", "init", "ap", "labels", "transitions"):
         if key not in doc:
             raise DtmcError(f"missing key {key!r}")
-    n = doc["states"]
-    if not isinstance(n, int):
-        raise DtmcError(f"states must be an integer, got {type(n).__name__}")
+    n = _json_int(doc["states"], "states")
+    init = _json_int(doc["init"], "init")
     raw_labels = doc["labels"]
     labels: list[frozenset[str]] = [frozenset()] * n
     if isinstance(raw_labels, dict):
@@ -226,16 +239,19 @@ def parse_json_dtmc(text: str) -> Dtmc:
     for idx, names in items:
         if not 0 <= idx < n:
             raise DtmcError(f"label for out-of-range state {idx}")
-        labels[idx] = frozenset(str(x) for x in names)
+        labels[idx] = frozenset(str(x) for x in _json_list(names, f"labels of state {idx}"))
     edges = []
-    for row in doc["transitions"]:
-        if len(row) != 3:
-            raise DtmcError(f"transition row {row!r} is not [src, dst, prob]")
-        edges.append((int(row[0]), int(row[1]), float(row[2])))
+    for row in _json_list(doc["transitions"], "transitions"):
+        try:
+            if not isinstance(row, list) or len(row) != 3:
+                raise TypeError
+            edges.append((int(row[0]), int(row[1]), float(row[2])))
+        except (TypeError, ValueError):
+            raise DtmcError(f"transition row {row!r} is not [src, dst, prob]") from None
     return Dtmc(
         n_states=n,
-        init=int(doc["init"]),
-        ap=tuple(str(a) for a in doc["ap"]),
+        init=init,
+        ap=tuple(str(a) for a in _json_list(doc["ap"], "ap")),
         labels=tuple(labels),
         transitions=tuple(edges),
     )

@@ -1,13 +1,14 @@
 """Exact LTL satisfaction probabilities on finite DTMCs.
 
-The evaluator rewrites one innermost temporal operator at a time.  For the
-chosen subformula it computes the per-state satisfaction probability with a
-graph pass plus one linear solve, then splits every state into a copy that
-prophesies the subformula holds on the run and a copy that prophesies it
-does not, conditioning the transition structure on each branch.  The
-subformula is then replaced by a fresh proposition that labels exactly the
-prophesying copies.  Once the formula is propositional, the per-state value
-is the weight of the satisfying copies.
+The evaluator resolves the distinct temporal subformulas one at a time,
+children before parents.  For each it computes the per-state satisfaction
+probability with a graph pass plus one linear solve, then splits every
+state into a copy that prophesies the subformula holds on the run and a
+copy that prophesies it does not, conditioning the transition structure on
+each branch.  The prophesying copies are labelled with the subformula node
+itself, so later rounds read it as a proposition.  Once every temporal
+subformula is resolved, the per-state value is the weight of the copies
+whose labels satisfy the formula.
 
 Graph preprocessing pins impossible states to exactly 0.0 and almost-sure
 states to exactly 1.0, so downstream exact-equality tests on degenerate
@@ -21,18 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dtmc import Dtmc
-from .ltl import (
-    And,
-    Finally,
-    Globally,
-    Lit,
-    LtlFormula,
-    Next,
-    Or,
-    Until,
-    is_propositional,
-    print_ltl,
-)
+from .ltl import And, Finally, Globally, Lit, LtlFormula, Next, Or, Until, print_ltl
 
 __all__ = [
     "LinearSolveError",
@@ -40,7 +30,6 @@ __all__ = [
     "solve_linear",
     "ProbVector",
     "RefinedChain",
-    "RefinementRound",
     "initial_refinement",
     "refine",
     "check_ltl",
@@ -187,25 +176,16 @@ class RefinedChain:
     ``origin[i]`` is the original state a copy stands for, ``weights[i]``
     the conditional probability of the copy's prophecy combination given
     a run starts in that original state; the weights of all copies of one
-    original state sum to one.  ``rows`` are conditioned transitions and
-    each row sums to one.
+    original state sum to one.  ``labels[i]`` holds the original state's
+    proposition names plus each resolved temporal subformula the copy
+    prophesies.  ``rows`` are conditioned transitions and each row sums
+    to one.
     """
 
     origin: list[int]
     weights: list[float]
-    labels: list[frozenset[str]]
+    labels: list[frozenset[str | LtlFormula]]
     rows: list[list[tuple[int, float]]]
-
-
-@dataclass(frozen=True)
-class RefinementRound:
-    """Snapshot of the chain right after one prophecy split."""
-
-    subformula: str
-    prop: str
-    origin: tuple[int, ...]
-    weights: tuple[float, ...]
-    rows: tuple[tuple[tuple[int, float], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -225,92 +205,88 @@ def initial_refinement(m: Dtmc) -> RefinedChain:
     )
 
 
-def _sat(labels: frozenset[str], f: LtlFormula) -> bool:
+def _sat(labels: frozenset[str | LtlFormula], f: LtlFormula) -> bool:
+    """Truth of f in a copy; a temporal node is true where it is a label."""
     if isinstance(f, Lit):
         return (f.name in labels) == f.positive
     if isinstance(f, And):
         return _sat(labels, f.left) and _sat(labels, f.right)
     if isinstance(f, Or):
         return _sat(labels, f.left) or _sat(labels, f.right)
-    raise ValueError(f"not propositional: {print_ltl(f)}")
+    return f in labels
 
 
-def _innermost_temporal(f: LtlFormula) -> LtlFormula | None:
-    """Leftmost temporal subformula whose operands are propositional."""
-    if isinstance(f, Lit):
-        return None
-    if isinstance(f, (And, Or)):
-        return _innermost_temporal(f.left) or _innermost_temporal(f.right)
+def _temporal_subformulas(f: LtlFormula, out: dict[LtlFormula, None]) -> dict:
+    """The distinct temporal subformulas of f, children first, left to right."""
+    if isinstance(f, Lit) or f in out:
+        return out
     if isinstance(f, (Next, Finally, Globally)):
-        return _innermost_temporal(f.child) or f
-    if isinstance(f, Until):
-        return _innermost_temporal(f.left) or _innermost_temporal(f.right) or f
-    raise TypeError(f"unknown node {f!r}")
+        _temporal_subformulas(f.child, out)
+    else:
+        _temporal_subformulas(f.left, out)
+        _temporal_subformulas(f.right, out)
+    if not isinstance(f, (And, Or)):
+        out[f] = None
+    return out
 
 
-def _substitute(f: LtlFormula, target: LtlFormula, rep: LtlFormula) -> LtlFormula:
-    if f == target:
-        return rep
-    if isinstance(f, Lit):
-        return f
-    if isinstance(f, (Next, Finally, Globally)):
-        return type(f)(_substitute(f.child, target, rep))
-    return type(f)(
-        _substitute(f.left, target, rep), _substitute(f.right, target, rep)
-    )
+def _operands(r: RefinedChain, psi: LtlFormula) -> tuple[list[bool] | None, list[bool]]:
+    """Per-state truth of psi's operands (a, b), reading psi as a U b.
+
+    F phi is true U phi; G phi takes the prophecy rule of phi U false.
+    X phi has no left operand: b is the truth of phi.
+    """
+
+    def sat(g: LtlFormula) -> list[bool]:
+        return [_sat(lab, g) for lab in r.labels]
+
+    n = len(r.origin)
+    if isinstance(psi, Until):
+        return sat(psi.left), sat(psi.right)
+    if isinstance(psi, Finally):
+        return [True] * n, sat(psi.child)
+    if isinstance(psi, Globally):
+        return sat(psi.child), [False] * n
+    if isinstance(psi, Next):
+        return None, sat(psi.child)
+    raise TypeError(f"not a temporal node: {print_ltl(psi)}")
 
 
 def _prophecy_vector(r: RefinedChain, psi: LtlFormula) -> list[float]:
-    n = len(r.origin)
+    a, b = _operands(r, psi)
     if isinstance(psi, Next):
-        return _next_vec(r.rows, [_sat(r.labels[t], psi.child) for t in range(n)])
-    if isinstance(psi, Finally):
-        sat = [_sat(r.labels[s], psi.child) for s in range(n)]
-        return _until_vec(r.rows, [True] * n, sat)
+        return _next_vec(r.rows, b)
     if isinstance(psi, Globally):
-        bad = [not _sat(r.labels[s], psi.child) for s in range(n)]
-        return [1.0 - v for v in _until_vec(r.rows, [True] * n, bad)]
-    if isinstance(psi, Until):
-        sa = [_sat(r.labels[s], psi.left) for s in range(n)]
-        sb = [_sat(r.labels[s], psi.right) for s in range(n)]
-        return _until_vec(r.rows, sa, sb)
-    raise TypeError(f"not a temporal node: {print_ltl(psi)}")
+        # G phi holds unless the run reaches a !phi state.
+        return [1.0 - v for v in _until_vec(r.rows, [True] * len(a), [not x for x in a])]
+    return _until_vec(r.rows, a, b)
 
 
 def _prophecy_rule(r: RefinedChain, psi: LtlFormula):
     """Return g(u, v, b') = prophecy value at u given successor value b'."""
-    n = len(r.origin)
+    a, b = _operands(r, psi)
     if isinstance(psi, Next):
-        ok = [_sat(r.labels[v], psi.child) for v in range(n)]
-        return lambda u, v, b2: 1 if ok[v] else 0
-    if isinstance(psi, Finally):
-        here = [_sat(r.labels[u], psi.child) for u in range(n)]
-        return lambda u, v, b2: 1 if here[u] else b2
-    if isinstance(psi, Globally):
-        here = [_sat(r.labels[u], psi.child) for u in range(n)]
-        return lambda u, v, b2: b2 if here[u] else 0
-    if isinstance(psi, Until):
-        sa = [_sat(r.labels[u], psi.left) for u in range(n)]
-        sb = [_sat(r.labels[u], psi.right) for u in range(n)]
-        return lambda u, v, b2: 1 if sb[u] else (b2 if sa[u] else 0)
-    raise TypeError(f"not a temporal node: {print_ltl(psi)}")
+        return lambda u, v, b2: 1 if b[v] else 0
+    return lambda u, v, b2: 1 if b[u] else (b2 if a[u] else 0)
 
 
-def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: str) -> RefinedChain:
+def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -> RefinedChain:
     """Split every state on whether the run will satisfy psi.
 
     p[i] is the satisfaction probability of psi from state i of r.  The
-    positive copy is labelled with prop.  Branches of conditional
-    probability below 1e-12 are dropped; each conditioned row is divided
-    by the sum of its kept numerators, which equals the branch factor up
-    to the dropped mass, so row sums are exactly one.
+    positive copy gets prop as an extra label; check_ltl passes psi
+    itself, which _sat then reads as true in exactly those copies.
+    Branches of conditional probability below 1e-12 are dropped; each
+    conditioned row is divided by the sum of its kept numerators, which
+    equals the branch factor up to the dropped mass, so row sums are
+    exactly one.
     """
     n = len(r.origin)
     p = [min(1.0, max(0.0, x)) for x in p]
     index: dict[tuple[int, int], int] = {}
     origin: list[int] = []
     weights: list[float] = []
-    labels: list[frozenset[str]] = []
+    labels: list[frozenset[str | LtlFormula]] = []
     order: list[tuple[int, int]] = []
     for u in range(n):
         for b in (1, 0):
@@ -346,37 +322,24 @@ def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: str) -> Refin
 
 
 def check_ltl(
-    m: Dtmc, f: LtlFormula, refinement_log: list[RefinementRound] | None = None
+    m: Dtmc,
+    f: LtlFormula,
+    refinement_log: list[tuple[LtlFormula, RefinedChain]] | None = None,
 ) -> ProbVector:
     """Per-state probability that a run satisfies f, exactly up to solver
     accuracy.
 
-    Pass a list as refinement_log to receive one RefinementRound per
-    prophecy split for inspection.
+    Pass a list as refinement_log to receive one (subformula, refined
+    chain) pair per prophecy split for inspection.
     """
     r = initial_refinement(m)
-    g = f
-    counter = 0
-    while not is_propositional(g):
-        psi = _innermost_temporal(g)
-        p = _prophecy_vector(r, psi)
-        prop = f"~q{counter}"
-        counter += 1
-        r = refine(r, psi, p, prop)
+    for psi in _temporal_subformulas(f, {}):
+        r = refine(r, psi, _prophecy_vector(r, psi), psi)
         if refinement_log is not None:
-            refinement_log.append(
-                RefinementRound(
-                    subformula=print_ltl(psi),
-                    prop=prop,
-                    origin=tuple(r.origin),
-                    weights=tuple(r.weights),
-                    rows=tuple(tuple(row) for row in r.rows),
-                )
-            )
-        g = _substitute(g, psi, Lit(prop))
+            refinement_log.append((psi, r))
     values = [0.0] * m.n_states
     for i, o in enumerate(r.origin):
-        if _sat(r.labels[i], g):
+        if _sat(r.labels[i], f):
             values[o] += r.weights[i]
     values = [min(1.0, max(0.0, v)) for v in values]
     return ProbVector(tuple(values), values[m.init])

@@ -428,8 +428,6 @@ def bsc(pooled: list[ScoredCandidate], run: _Run) -> None:
                     neg_bad = any(a or b for a, b in zip(psi.neg_bits, phi.neg_bits))
                 if not pos_ok or neg_bad:
                     continue
-                if run.best_size is not None and size >= run.best_size:
-                    continue
                 combo = (PltlAnd if op == "&" else PltlOr)(psi.atom, phi.atom)
                 run.best = ((combo, None),)
                 run.best_size = size
@@ -478,12 +476,8 @@ def learn(sample: Sample, config: LearnConfig) -> LearnResult:
     pooled: list[ScoredCandidate] = []
 
     n = 0
-    while True:
+    while n < run.budget:
         n += 1
-        if n > run.budget:
-            break
-        if run.best_size is not None and n > run.best_size:
-            break
         if n > 1:
             t0 = time.perf_counter()
             gbe_step(state, n)
@@ -492,13 +486,9 @@ def learn(sample: Sample, config: LearnConfig) -> LearnResult:
         res = pts(size_bucket(state, n), sample, config.delta, stats=stats)
         stats.add_time("pts", time.perf_counter() - t0)
         if res.found:
-            if run.best_size is None or n < run.best_size:
-                hits = res.consistent if config.all_minimal else res.winners
-                run.best = tuple(hits)
-                run.best_size = n
-            if config.eager_return:
-                break
-            continue
+            run.best = res.consistent if config.all_minimal else res.winners
+            run.best_size = n
+            break
         remove_formulas(state, n, res.discards)
         stats.add("discarded", n, len(res.discards))
         # An atom that is false at the root of every positive or true at

@@ -26,7 +26,6 @@ __all__ = [
     "canonicalize",
     "nnf_dual",
     "is_complement",
-    "is_propositional",
     "temporal_simplify_applies",
     "boolean_simplify_applies",
     "PltlAtom",
@@ -155,15 +154,6 @@ class Until(LtlFormula):
         )
 
     __hash__ = _node_hash
-
-
-def is_propositional(f: LtlFormula) -> bool:
-    """True iff the formula contains no temporal operator."""
-    if isinstance(f, Lit):
-        return True
-    if isinstance(f, (And, Or)):
-        return is_propositional(f.left) and is_propositional(f.right)
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from pltl_learn.benchgen import (
     write_sample,
 )
 from pltl_learn.dtmc import Sample
-from pltl_learn.engine import RefinementRound, check_ltl
+from pltl_learn.engine import RefinedChain, check_ltl
 from pltl_learn.learner import (
     LearnConfig,
     best_threshold,
@@ -42,6 +42,7 @@ from pltl_learn.ltl import (
     And,
     Finally,
     Globally,
+    LtlFormula,
     Next,
     Or,
     PltlAnd,
@@ -69,7 +70,7 @@ def _report(cid: str, desc: str, problems: list[str]) -> None:
 @pytest.fixture(scope="module")
 def engine_sweep():
     rng = random.Random(2024)
-    logs: list[tuple[int, list[RefinementRound]]] = []
+    logs: list[tuple[int, list[tuple[LtlFormula, RefinedChain]]]] = []
     worst = 0.0
     mismatches: list[str] = []
     t0 = time.perf_counter()
@@ -77,7 +78,7 @@ def engine_sweep():
         m = chains.random_chain(rng, max_states=20, ap=("a", "b"))
         suite = chains.oracle_suite(m)
         for text, want in suite.items():
-            log: list[RefinementRound] = []
+            log: list[tuple[LtlFormula, RefinedChain]] = []
             got = check_ltl(m, parse_ltl(text), refinement_log=log)
             logs.append((m.n_states, log))
             err = max(abs(g - w) for g, w in zip(got.values, want))
@@ -106,16 +107,16 @@ def test_criterion_2_refinement_bookkeeping(engine_sweep):
     problems: list[str] = []
     rounds = 0
     for n_states, log in logs:
-        for rnd in log:
+        for psi, rnd in log:
             rounds += 1
             for row in rnd.rows:
                 if abs(sum(q for _, q in row) - 1.0) > 1e-9:
-                    problems.append(f"row sum off in {rnd.subformula}")
+                    problems.append(f"row sum off in {print_ltl(psi)}")
             sums = [0.0] * n_states
             for o, w in zip(rnd.origin, rnd.weights):
                 sums[o] += w
             if any(abs(s - 1.0) > 1e-9 for s in sums):
-                problems.append(f"weight sum off in {rnd.subformula}")
+                problems.append(f"weight sum off in {print_ltl(psi)}")
     _report(
         "criterion 2",
         f"row and weight sums within 1e-9 over {rounds} refinement rounds",

@@ -148,6 +148,47 @@ def test_learn_manifest_bad_json(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+_ONE_STATE = {"states": 1, "init": 0, "ap": [], "labels": {}, "transitions": [[0, 0, 1.0]]}
+_ENTRY = {"format": "json", "path": "chain.json"}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("check", 5),
+        ("check", {**_ONE_STATE, "labels": {"0": 5}}),
+        ("check", {**_ONE_STATE, "transitions": [5]}),
+        ("check", {**_ONE_STATE, "ap": 7}),
+        ("check", {**_ONE_STATE, "init": [0]}),
+        ("learn", {"positive": [5], "negative": [_ENTRY]}),
+        ("learn", {"positive": [_ENTRY], "negative": [_ENTRY], "params": [1]}),
+        ("learn", {"positive": [_ENTRY], "negative": [_ENTRY], "ap": 7}),
+    ],
+    ids=[
+        "model-int",
+        "label-int",
+        "row-int",
+        "ap-int",
+        "init-list",
+        "entry-int",
+        "params-list",
+        "manifest-ap-int",
+    ],
+)
+def test_malformed_json_exits_two(tmp_path, capsys, command, doc):
+    (tmp_path / "chain.json").write_text(json.dumps(_ONE_STATE))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if command == "check":
+        argv = ("check", "--model", str(path), "--formula", "F(a)")
+    else:
+        argv = ("learn", "--sample", str(path))
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # check
 

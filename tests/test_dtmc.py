@@ -197,6 +197,18 @@ def test_json_states_must_be_int():
         parse_json_dtmc(text)
 
 
+def test_json_states_must_not_be_bool():
+    text = '{"states": true, "init": 0, "ap": [], "labels": {}, "transitions": [[0, 0, 1.0]]}'
+    with pytest.raises(DtmcError, match="states must be an integer, got bool"):
+        parse_json_dtmc(text)
+
+
+def test_json_nan_probability_rejected():
+    text = '{"states": 1, "init": 0, "ap": [], "labels": {}, "transitions": [[0, 0, "nan"]]}'
+    with pytest.raises(DtmcError, match="non-positive probability nan"):
+        parse_json_dtmc(text)
+
+
 def test_json_output_skips_empty_label_sets():
     doc = dtmc_to_json(_chain())
     assert '"0"' not in doc.split('"transitions"')[0]

@@ -9,14 +9,14 @@ from pltl_learn.dtmc import Dtmc, parse_json_dtmc
 from pltl_learn.engine import (
     LinearSolveError,
     ProbVector,
-    RefinementRound,
+    RefinedChain,
     SingularSystemError,
     check_ltl,
     initial_refinement,
     refine,
     solve_linear,
 )
-from pltl_learn.ltl import Lit, Next, parse_ltl
+from pltl_learn.ltl import And, Finally, Lit, LtlFormula, Next, parse_ltl, print_ltl
 
 
 def _mk(n, init, labels, edges, ap=("a", "b")):
@@ -198,32 +198,39 @@ def test_next_accepts_callables():
 
 
 def test_refinement_of_sure_formula_is_isomorphic():
-    log: list[RefinementRound] = []
+    log: list[tuple[LtlFormula, RefinedChain]] = []
     check_ltl(C2, parse_ltl("F(a)"), refinement_log=log)
-    (round0,) = log
-    assert round0.subformula == "F(a)" and round0.prop == "~q0"
-    assert round0.origin == (0, 1)
-    assert round0.weights == (1.0, 1.0)
-    assert round0.rows == (((0, 0.5), (1, 0.5)), ((1, 1.0),))
+    ((psi, round0),) = log
+    assert print_ltl(psi) == "F(a)"
+    assert round0.origin == [0, 1]
+    assert round0.weights == [1.0, 1.0]
+    assert round0.rows == [[(0, 0.5), (1, 0.5)], [(1, 1.0)]]
 
 
 def test_refinement_splits_branch_example():
-    log: list[RefinementRound] = []
+    log: list[tuple[LtlFormula, RefinedChain]] = []
     check_ltl(C1, parse_ltl("F(a)"), refinement_log=log)
-    (round0,) = log
-    assert round0.origin == (0, 0, 1, 2)
-    assert round0.weights == (0.3, 0.7, 1.0, 1.0)
+    ((_, round0),) = log
+    assert round0.origin == [0, 0, 1, 2]
+    assert round0.weights == [0.3, 0.7, 1.0, 1.0]
     # the positive copy of the root commits to the a-branch, the negative
     # copy to the other one
-    assert round0.rows[0] == ((2, 1.0),)
-    assert round0.rows[1] == ((3, 1.0),)
+    assert round0.rows[0] == [(2, 1.0)]
+    assert round0.rows[1] == [(3, 1.0)]
 
 
 def test_refinement_round_sequence_for_nested_formula():
-    log: list[RefinementRound] = []
+    log: list[tuple[LtlFormula, RefinedChain]] = []
     check_ltl(C5, parse_ltl("F(a & F(b))"), refinement_log=log)
-    assert [r.subformula for r in log] == ["F(b)", "F(a & ~q0)"]
-    assert [r.prop for r in log] == ["~q0", "~q1"]
+    assert [print_ltl(psi) for psi, _ in log] == ["F(b)", "F(a & F(b))"]
+
+
+def test_proposition_names_cannot_collide_with_resolved_subformulas():
+    # Any string is a valid proposition name; resolving F(b) or X(b) must
+    # leave a proposition that happens to be called "~q0" untouched.
+    m = _mk(2, 0, [(), ("b",)], [(0, 1, 1.0), (1, 1, 1.0)], ap=("b", "~q0"))
+    assert check_ltl(m, And(Finally(Lit("b")), Lit("~q0"))).values == (0.0, 0.0)
+    assert check_ltl(m, And(Next(Lit("b")), Lit("~q0", False))).values == (1.0, 1.0)
 
 
 def test_refine_husk_keeps_rows_stochastic():
@@ -282,11 +289,11 @@ def test_refinement_invariants_on_random_chains():
     for _ in range(120):
         m = chains.random_chain(rng, max_states=15)
         for f in fs:
-            log: list[RefinementRound] = []
+            log: list[tuple[LtlFormula, RefinedChain]] = []
             v = check_ltl(m, f, refinement_log=log)
             assert all(0.0 <= x <= 1.0 for x in v.values)
             assert v.init == v.values[m.init]
-            for rnd in log:
+            for _, rnd in log:
                 for row in rnd.rows:
                     assert abs(sum(q for _, q in row) - 1.0) <= 1e-9
                 by_origin = [0.0] * m.n_states

@@ -19,7 +19,6 @@ from pltl_learn.ltl import (
     boolean_simplify_applies,
     canonicalize,
     is_complement,
-    is_propositional,
     nnf_dual,
     parse_ltl,
     pltl_size,
@@ -277,11 +276,6 @@ def test_boolean_simplify_cases():
     assert not boolean_simplify_applies("&", p, q)
     with pytest.raises(ValueError):
         boolean_simplify_applies("->", p, q)
-
-
-def test_is_propositional():
-    assert is_propositional(parse_ltl("(a & (b | !c))"))
-    assert not is_propositional(parse_ltl("(a & F(b))"))
 
 
 def test_structural_hash_discriminates():
