@@ -22,13 +22,18 @@ from .ltl import parse_ltl, print_pltl
 def _load_chain(entry: dict, base: Path) -> Dtmc:
     if not isinstance(entry, dict):
         raise DtmcError(f"chain entry {entry!r} is not an object")
+
+    def read(key: str) -> str:
+        name = entry[key]
+        if not isinstance(name, str):
+            raise DtmcError(f"chain entry {key!r} must be a string, got {type(name).__name__}")
+        return (base / name).read_text()
+
     fmt = entry.get("format", "json")
     if fmt == "json":
-        return parse_json_dtmc((base / entry["path"]).read_text())
+        return parse_json_dtmc(read("path"))
     if fmt == "prism-explicit":
-        return parse_prism_explicit(
-            (base / entry["tra"]).read_text(), (base / entry["lab"]).read_text()
-        )
+        return parse_prism_explicit(read("tra"), read("lab"))
     raise DtmcError(f"unknown chain format {fmt!r}")
 
 
@@ -71,7 +76,7 @@ def _cmd_learn(args) -> int:
     positive = [_load_chain(e, base) for e in doc["positive"]]
     negative = [_load_chain(e, base) for e in doc["negative"]]
     ap = doc.get("ap")
-    if ap is not None and not isinstance(ap, list):
+    if ap is not None and not (isinstance(ap, list) and all(isinstance(a, str) for a in ap)):
         raise DtmcError("manifest ap must be a list of names")
     sample = Sample.build(positive, negative, ap)
 
@@ -79,19 +84,20 @@ def _cmd_learn(args) -> int:
     if not isinstance(params, dict):
         raise DtmcError("manifest params must be an object")
 
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return params.get(key, default)
+    def pick(flag, key, default, kind=int):
+        value = params.get(key, default) if flag is None else flag
+        if not isinstance(value, kind) or isinstance(value, bool):
+            what = "an integer" if kind is int else "a number"
+            raise DtmcError(f"params.{key} must be {what}, got {type(value).__name__}")
+        return value
 
-    max_size = pick(args.max_size, "max_size", None)
-    if max_size is None:
+    if args.max_size is None and params.get("max_size") is None:
         raise DtmcError("a size bound is required (--max-size or params.max_size)")
     config = LearnConfig(
-        max_size=int(max_size),
-        max_depth=int(pick(args.max_depth, "max_depth", 2)),
-        delta=float(pick(args.delta, "delta", 0.05)),
-        bool_limit=int(pick(args.bool_limit, "bool_limit", 10)),
+        max_size=pick(args.max_size, "max_size", None),
+        max_depth=pick(args.max_depth, "max_depth", 2),
+        delta=float(pick(args.delta, "delta", 0.05, (int, float))),
+        bool_limit=pick(args.bool_limit, "bool_limit", 10),
         eager_return=args.eager_return,
         all_minimal=args.all_minimal,
     )

@@ -8,7 +8,9 @@ copy that prophesies it does not, conditioning the transition structure on
 each branch.  The prophesying copies are labelled with the subformula node
 itself, so later rounds read it as a proposition.  Once every temporal
 subformula is resolved, the per-state value is the weight of the copies
-whose labels satisfy the formula.
+whose labels satisfy the formula.  A caller scoring many bodies on one
+chain can pass the same refinement log to every call, so the rounds a
+body shares with the previous one are not refined again.
 
 Graph preprocessing pins impossible states to exactly 0.0 and almost-sure
 states to exactly 1.0, so downstream exact-equality tests on degenerate
@@ -32,6 +34,7 @@ __all__ = [
     "RefinedChain",
     "initial_refinement",
     "refine",
+    "temporal_subformulas",
     "check_ltl",
 ]
 
@@ -216,18 +219,27 @@ def _sat(labels: frozenset[str | LtlFormula], f: LtlFormula) -> bool:
     return f in labels
 
 
-def _temporal_subformulas(f: LtlFormula, out: dict[LtlFormula, None]) -> dict:
-    """The distinct temporal subformulas of f, children first, left to right."""
-    if isinstance(f, Lit) or f in out:
-        return out
-    if isinstance(f, (Next, Finally, Globally)):
-        _temporal_subformulas(f.child, out)
-    else:
-        _temporal_subformulas(f.left, out)
-        _temporal_subformulas(f.right, out)
-    if not isinstance(f, (And, Or)):
-        out[f] = None
-    return out
+def temporal_subformulas(f: LtlFormula) -> list[LtlFormula]:
+    """The distinct temporal subformulas of f, children first, left to right.
+
+    This is the order in which check_ltl resolves them: one refinement
+    round per entry.
+    """
+    out: dict[LtlFormula, None] = {}
+
+    def walk(g: LtlFormula) -> None:
+        if isinstance(g, Lit) or g in out:
+            return
+        if isinstance(g, (Next, Finally, Globally)):
+            walk(g.child)
+        else:
+            walk(g.left)
+            walk(g.right)
+        if not isinstance(g, (And, Or)):
+            out[g] = None
+
+    walk(f)
+    return list(out)
 
 
 def _operands(r: RefinedChain, psi: LtlFormula) -> tuple[list[bool] | None, list[bool]]:
@@ -330,13 +342,26 @@ def check_ltl(
     accuracy.
 
     Pass a list as refinement_log to receive one (subformula, refined
-    chain) pair per prophecy split for inspection.
+    chain) pair per prophecy split, in temporal_subformulas(f) order.  A
+    non-empty log must come from earlier calls on this same chain m: its
+    longest leading run of pairs whose subformulas equal the leading
+    entries of temporal_subformulas(f) is reused, the rest of the log is
+    deleted, and only the remaining rounds are refined and appended.
+    The result is the same as without a log, since each round depends
+    only on m and the subformulas resolved before it.
     """
-    r = initial_refinement(m)
-    for psi in _temporal_subformulas(f, {}):
+    rounds = temporal_subformulas(f)
+    log = refinement_log
+    keep = 0
+    if log:
+        while keep < min(len(log), len(rounds)) and log[keep][0] == rounds[keep]:
+            keep += 1
+        del log[keep:]
+    r = log[-1][1] if keep else initial_refinement(m)
+    for psi in rounds[keep:]:
         r = refine(r, psi, _prophecy_vector(r, psi), psi)
-        if refinement_log is not None:
-            refinement_log.append((psi, r))
+        if log is not None:
+            log.append((psi, r))
     values = [0.0] * m.n_states
     for i, o in enumerate(r.origin):
         if _sat(r.labels[i], f):

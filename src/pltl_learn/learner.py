@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from .dtmc import Dtmc, Sample
-from .engine import LinearSolveError, check_ltl
+from .engine import LinearSolveError, check_ltl, temporal_subformulas
 from .ltl import (
     And,
     Finally,
@@ -101,6 +101,10 @@ class LearnConfig:
 @dataclass
 class RunStats:
     """Per-size search counters, phase timings, and engine-call total.
+
+    engine_calls counts body x chain evaluations, one per body for each
+    chain of the sample; pts evaluates chains with equal content once,
+    so it can call check_ltl fewer times.
 
     For every size whose scan completed, constructed equals
     pruned_temporal + pruned_boolean + checked at that size.
@@ -304,33 +308,67 @@ def pts(
     chain cannot occur inside any minimal consistent formula and is
     reported as a discard; everything else survives with its
     initial-state values.
+
+    Chains with equal content are evaluated once.  On each distinct
+    chain the bodies go through check_ltl with one shared refinement
+    log, sorted by the hashes of their temporal subformula sequences:
+    a depth-first walk of the prefix trie, so each shared prefix is
+    refined once and only one path of refined chains is alive at a
+    time.  The scan itself then runs in the given order over
+    (init, all 0, all 1) summaries, so results, stats and the body,
+    role and index an EngineFailure names are those of a plain loop
+    over bodies, then positive and negative chains.
     """
-    n_chains = len(sample.positive) + len(sample.negative)
+    formulas = list(formulas)
+    chains = [("positive", i, m) for i, m in enumerate(sample.positive)]
+    chains += [("negative", i, m) for i, m in enumerate(sample.negative)]
+    slots: dict[Dtmc, int] = {}
+    slot_of = [slots.setdefault(m, len(slots)) for _, _, m in chains]
+    walk = sorted(
+        range(len(formulas)),
+        key=lambda j: tuple(psi.hash64 for psi in temporal_subformulas(formulas[j])),
+    )
+    # scores[slot][j]: (init, all values == 0.0, all values == 1.0), or
+    # the solver error, of body j on that chain.
+    scores: list[list] = []
+    for m in slots:
+        log: list = []
+        row: list = [None] * len(formulas)
+        for j in walk:
+            try:
+                v = check_ltl(m, formulas[j], log)
+            except LinearSolveError as err:
+                row[j] = err
+                continue
+            row[j] = (
+                v.init,
+                all(x == 0.0 for x in v.values),
+                all(x == 1.0 for x in v.values),
+            )
+        scores.append(row)
+
+    n_pos = len(sample.positive)
     consistent: list[tuple[PltlAtom, float]] = []
     discards: list[LtlFormula] = []
     kept: list[tuple[LtlFormula, tuple[float, ...], tuple[float, ...]]] = []
-    for f in formulas:
-        pvecs, nvecs = [], []
-        for role, chains, vecs in (
-            ("positive", sample.positive, pvecs),
-            ("negative", sample.negative, nvecs),
-        ):
-            for i, m in enumerate(chains):
-                try:
-                    vecs.append(check_ltl(m, f))
-                except LinearSolveError as err:
-                    raise EngineFailure(f, role, i, err) from err
+    for j, f in enumerate(formulas):
+        got = []
+        for (role, i, _), slot in zip(chains, slot_of):
+            score = scores[slot][j]
+            if isinstance(score, LinearSolveError):
+                raise EngineFailure(f, role, i, score) from score
+            got.append(score)
         if stats is not None:
             stats.add("checked", f.size)
-            stats.engine_calls += n_chains
-        pos = tuple(v.init for v in pvecs)
-        neg = tuple(v.init for v in nvecs)
+            stats.engine_calls += len(chains)
+        pos = tuple(init for init, _, _ in got[:n_pos])
+        neg = tuple(init for init, _, _ in got[n_pos:])
         lo, hi = min(pos), max(neg)
         if lo - hi > delta:
             consistent.append((PltlAtom((lo + hi) / 2.0, f), lo - hi))
             continue
-        never_pos = all(all(x == 0.0 for x in v.values) for v in pvecs)
-        always_neg = all(all(x == 1.0 for x in v.values) for v in nvecs)
+        never_pos = all(zero for _, zero, _ in got[:n_pos])
+        always_neg = all(one for _, _, one in got[n_pos:])
         if never_pos or always_neg:
             discards.append(f)
             continue

@@ -150,6 +150,12 @@ def test_learn_manifest_bad_json(tmp_path, capsys):
 
 _ONE_STATE = {"states": 1, "init": 0, "ap": [], "labels": {}, "transitions": [[0, 0, 1.0]]}
 _ENTRY = {"format": "json", "path": "chain.json"}
+_PRISM_ENTRY = {"format": "prism-explicit", "tra": "chain.tra", "lab": "chain.lab"}
+
+
+def _manifest(params):
+    # valid but for params: the search would run and exit 1
+    return {"ap": ["a"], "positive": [_ENTRY], "negative": [_ENTRY], "params": params}
 
 
 @pytest.mark.parametrize(
@@ -163,6 +169,18 @@ _ENTRY = {"format": "json", "path": "chain.json"}
         ("learn", {"positive": [5], "negative": [_ENTRY]}),
         ("learn", {"positive": [_ENTRY], "negative": [_ENTRY], "params": [1]}),
         ("learn", {"positive": [_ENTRY], "negative": [_ENTRY], "ap": 7}),
+        ("learn", {"positive": [{"path": 5}], "negative": [_ENTRY]}),
+        ("learn", {"positive": [_PRISM_ENTRY | {"tra": 5}], "negative": [_ENTRY]}),
+        ("learn", {"positive": [_PRISM_ENTRY | {"tra": "chain.json", "lab": [1]}], "negative": [_ENTRY]}),
+        ("learn", _manifest({"max_size": [1]})),
+        ("learn", _manifest({"max_size": True})),
+        ("learn", _manifest({"max_size": 2.7})),
+        ("learn", _manifest({"max_size": 1, "delta": [1]})),
+        ("learn", _manifest({"max_size": 1, "delta": True})),
+        ("learn", _manifest({"max_size": 1, "max_depth": 1.5})),
+        ("learn", _manifest({"max_size": 1, "bool_limit": "3"})),
+        ("learn", {**_manifest({"max_size": 1}), "ap": [[1]]}),
+        ("learn", {**_manifest({"max_size": 1}), "ap": [1]}),
     ],
     ids=[
         "model-int",
@@ -173,6 +191,18 @@ _ENTRY = {"format": "json", "path": "chain.json"}
         "entry-int",
         "params-list",
         "manifest-ap-int",
+        "entry-path-int",
+        "entry-tra-int",
+        "entry-lab-list",
+        "max-size-list",
+        "max-size-bool",
+        "max-size-float",
+        "delta-list",
+        "delta-bool",
+        "max-depth-float",
+        "bool-limit-str",
+        "manifest-ap-nested-list",
+        "manifest-ap-int-name",
     ],
 )
 def test_malformed_json_exits_two(tmp_path, capsys, command, doc):

@@ -15,7 +15,9 @@ from pltl_learn.engine import (
     initial_refinement,
     refine,
     solve_linear,
+    temporal_subformulas,
 )
+from pltl_learn.learner import gbe_init, gbe_step, size_bucket
 from pltl_learn.ltl import And, Finally, Lit, LtlFormula, Next, parse_ltl, print_ltl
 
 
@@ -301,6 +303,33 @@ def test_refinement_invariants_on_random_chains():
                     assert w > 0.0
                     by_origin[o] += w
                 assert all(abs(t - 1.0) <= 1e-9 for t in by_origin)
+
+
+def test_shared_log_matches_fresh_evaluation():
+    state = gbe_init(("a", "b"), max_depth=2)
+    bodies = size_bucket(state, 1)
+    for n in range(2, 6):
+        gbe_step(state, n)
+        bodies += size_bucket(state, n)
+    rng = random.Random(61)
+    reused = 0
+    for _ in range(3):
+        m = chains.random_chain(rng, max_states=8)
+        order = bodies[:]
+        rng.shuffle(order)
+        log: list[tuple[LtlFormula, RefinedChain]] = []
+        for f in order:
+            before = list(log)
+            rounds = temporal_subformulas(f)
+            keep = 0
+            while keep < min(len(before), len(rounds)) and before[keep][0] == rounds[keep]:
+                keep += 1
+            assert check_ltl(m, f, log) == check_ltl(m, f), print_ltl(f)
+            assert [psi for psi, _ in log] == rounds
+            # the matching leading rounds are reused, not refined again
+            assert all(log[i][1] is before[i][1] for i in range(keep))
+            reused += keep
+    assert reused > 0
 
 
 def test_duality_on_random_chains():

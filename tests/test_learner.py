@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import chains
 from lasso import all_syntactic, checker
 from pltl_learn.benchgen import (
     conjunction_sample,
@@ -14,11 +15,12 @@ from pltl_learn.benchgen import (
     until_sample,
 )
 from pltl_learn.dtmc import Dtmc, Sample
-from pltl_learn.engine import LinearSolveError, check_ltl
+from pltl_learn.engine import LinearSolveError, check_ltl, temporal_subformulas
 from pltl_learn.learner import (
     EngineFailure,
     LearnConfig,
     NoSolutionError,
+    PtsResult,
     RunStats,
     ScoredCandidate,
     _Run,
@@ -294,6 +296,95 @@ def test_pts_stats_count_engine_calls():
     pts([parse_ltl("F(a)"), parse_ltl("X(a)")], sample, 0.05, stats=stats)
     assert stats.checked == {2: 2}
     assert stats.engine_calls == 4
+
+
+def _pts_by_body(formulas, sample, delta):
+    """The scan as one plain loop: every body on every chain, from scratch."""
+    consistent, discards, kept = [], [], []
+    for f in formulas:
+        pvecs = [check_ltl(m, f) for m in sample.positive]
+        nvecs = [check_ltl(m, f) for m in sample.negative]
+        pos = tuple(v.init for v in pvecs)
+        neg = tuple(v.init for v in nvecs)
+        lo, hi = min(pos), max(neg)
+        if lo - hi > delta:
+            consistent.append((PltlAtom((lo + hi) / 2.0, f), lo - hi))
+        elif all(all(x == 0.0 for x in v.values) for v in pvecs) or all(
+            all(x == 1.0 for x in v.values) for v in nvecs
+        ):
+            discards.append(f)
+        else:
+            kept.append((f, pos, neg))
+    if consistent:
+        top = max(m for _, m in consistent)
+        winners = tuple((a, m) for a, m in consistent if m == top)
+        return PtsResult(True, winners, tuple(consistent), (), ())
+    return PtsResult(False, (), (), tuple(discards), tuple(kept))
+
+
+def test_pts_refines_each_shared_prefix_once(monkeypatch):
+    import pltl_learn.engine as engine
+
+    refined = []
+    original = engine.refine
+
+    def counting(r, psi, p, prop):
+        refined.append(psi)
+        return original(r, psi, p, prop)
+
+    state = gbe_init(("a", "b"), max_depth=2)
+    gbe_step(state, 2)
+    gbe_step(state, 3)
+    bodies = size_bucket(state, 3)
+    chain = chains.random_chain(random.Random(7), max_states=8)
+    # Sample.build projects each side, so the two sides are equal, not identical
+    sample = Sample.build([chain], [chain])
+    stats = RunStats()
+    monkeypatch.setattr(engine, "refine", counting)
+    res = pts(bodies, sample, 0.05, stats=stats)
+    monkeypatch.setattr(engine, "refine", original)
+
+    prefixes = set()
+    for f in bodies:
+        rounds = tuple(temporal_subformulas(f))
+        prefixes.update(rounds[:k] for k in range(1, len(rounds) + 1))
+    assert len(refined) == len(prefixes) < sum(len(temporal_subformulas(f)) for f in bodies)
+    assert res == _pts_by_body(bodies, sample, 0.05)
+    assert stats.checked == {3: len(bodies)}
+    assert stats.engine_calls == stats.checked[3] * 2
+
+
+def test_pts_matches_plain_loop_on_distinct_chains():
+    rng = random.Random(11)
+    a, b, c = (chains.random_chain(rng, max_states=8) for _ in range(3))
+    state = gbe_init(("a", "b"), max_depth=2)
+    for n in (1, 2, 3, 4):
+        if n > 1:
+            gbe_step(state, n)
+        bodies = size_bucket(state, n)
+        for sample in (Sample.build([a, b], [c]), until_sample()):
+            assert pts(bodies, sample, 0.05) == _pts_by_body(bodies, sample, 0.05)
+
+
+def test_pts_engine_failure_keeps_scan_order_with_shared_chains(monkeypatch):
+    a = reach_chain(0.3)
+    b = _mk(2, 0, [(), ("a",)], [(0, 0, 0.5), (0, 1, 0.5), (1, 1, 1.0)])
+    bodies = [parse_ltl("F(a)"), parse_ltl("X(a)"), parse_ltl("G(a)")]
+    # evaluation runs in another order than the scan
+    assert sorted(bodies, key=lambda f: f.hash64) == bodies[::-1]
+
+    def failing(m, f, refinement_log=None):
+        if (m == b and f == bodies[1]) or (m == a and f == bodies[2]):
+            raise LinearSolveError("forced")
+        return check_ltl(m, f, refinement_log)
+
+    monkeypatch.setattr("pltl_learn.learner.check_ltl", failing)
+    sample = Sample.build([a, b], [RETRY])
+    assert sample.positive[1] == sample.negative[0]
+    with pytest.raises(EngineFailure, match="positive chain 1") as info:
+        pts(bodies, sample, 0.05)
+    assert info.value.formula == bodies[1]
+    assert (info.value.role, info.value.index) == ("positive", 1)
 
 
 # ---------------------------------------------------------------------------
