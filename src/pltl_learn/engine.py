@@ -5,12 +5,17 @@ children before parents.  For each it computes the per-state satisfaction
 probability with a graph pass plus one linear solve, then splits every
 state into a copy that prophesies the subformula holds on the run and a
 copy that prophesies it does not, conditioning the transition structure on
-each branch.  The prophesying copies are labelled with the subformula node
-itself, so later rounds read it as a proposition.  Once every temporal
-subformula is resolved, the per-state value is the weight of the copies
-whose labels satisfy the formula.  A caller scoring many bodies on one
-chain can pass the same refinement log to every call, so the rounds a
-body shares with the previous one are not refined again.
+each branch.  A refined chain keeps its labels as one boolean matrix, a
+row per copy and a column per proposition or resolved subformula; the
+new column of a round is keyed by the subformula node itself, so later
+rounds read it as a proposition.  Once every temporal subformula is
+resolved, the per-state value is the weight of the copies in which the
+formula's column expression holds.  A round's conditioned transitions
+are built only when they are first read, that is when a later round
+refines that chain again; the last round of a body never needs them.  A
+caller scoring many bodies on one chain can pass the same refinement log
+to every call, so the rounds a body shares with the previous one are not
+refined again.
 
 Graph preprocessing pins impossible states to exactly 0.0 and almost-sure
 states to exactly 1.0, so downstream exact-equality tests on degenerate
@@ -19,7 +24,9 @@ values are reliable.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,12 +61,13 @@ class SingularSystemError(LinearSolveError):
 def solve_linear(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve Ax = c by Gaussian elimination with partial pivoting.
 
+    The elimination works on one copy of A; A and c are only read.
     Raises SingularSystemError when no pivot above 1e-12 exists and
     LinearSolveError when the residual of the computed solution exceeds
     1e-9 * (1 + max|c|).
     """
-    A0 = np.array(A, dtype=float)
-    c0 = np.array(c, dtype=float)
+    A0 = np.asarray(A, dtype=float)
+    c0 = np.asarray(c, dtype=float)
     n = c0.shape[0]
     if A0.shape != (n, n):
         raise ValueError(f"shape mismatch: A is {A0.shape}, c has {n} entries")
@@ -172,23 +180,30 @@ def _until_vec(rows, a: list[bool], b: list[bool]) -> list[float]:
 # Prophecy refinement
 
 
-@dataclass
+@dataclass(eq=False)
 class RefinedChain:
     """A chain whose states are copies of original states.
 
     ``origin[i]`` is the original state a copy stands for, ``weights[i]``
     the conditional probability of the copy's prophecy combination given
     a run starts in that original state; the weights of all copies of one
-    original state sum to one.  ``labels[i]`` holds the original state's
-    proposition names plus each resolved temporal subformula the copy
-    prophesies.  ``rows`` are conditioned transitions and each row sums
-    to one.
+    original state sum to one.  ``labels`` is a boolean matrix with a row
+    per copy and a column per proposition of the chain or resolved
+    temporal subformula, and ``columns`` maps each name or subformula
+    node to its column.  ``rows`` are conditioned transitions and each
+    row sums to one; ``build_rows`` makes them on first read, which only
+    a later round that refines this chain further does.
     """
 
-    origin: list[int]
-    weights: list[float]
-    labels: list[frozenset[str | LtlFormula]]
-    rows: list[list[tuple[int, float]]]
+    origin: np.ndarray
+    weights: np.ndarray
+    labels: np.ndarray
+    columns: dict[str | LtlFormula, int]
+    build_rows: Callable[[], list[list[tuple[int, float]]]]
+
+    @cached_property
+    def rows(self) -> list[list[tuple[int, float]]]:
+        return self.build_rows()
 
 
 @dataclass(frozen=True)
@@ -200,23 +215,29 @@ class ProbVector:
 
 
 def initial_refinement(m: Dtmc) -> RefinedChain:
+    n = m.n_states
+    labels = np.array([a in lab for lab in m.labels for a in m.ap], dtype=bool)
     return RefinedChain(
-        origin=list(range(m.n_states)),
-        weights=[1.0] * m.n_states,
-        labels=list(m.labels),
-        rows=[list(row) for row in m.rows],
+        origin=np.arange(n),
+        weights=np.ones(n),
+        labels=labels.reshape(n, len(m.ap)),
+        columns={a: j for j, a in enumerate(m.ap)},
+        build_rows=lambda: [list(row) for row in m.rows],
     )
 
 
-def _sat(labels: frozenset[str | LtlFormula], f: LtlFormula) -> bool:
-    """Truth of f in a copy; a temporal node is true where it is a label."""
-    if isinstance(f, Lit):
-        return (f.name in labels) == f.positive
+def _column(r: RefinedChain, f: LtlFormula) -> np.ndarray:
+    """Truth of f in every copy of r.
+
+    A proposition or temporal node without a column is false everywhere.
+    """
     if isinstance(f, And):
-        return _sat(labels, f.left) and _sat(labels, f.right)
+        return _column(r, f.left) & _column(r, f.right)
     if isinstance(f, Or):
-        return _sat(labels, f.left) or _sat(labels, f.right)
-    return f in labels
+        return _column(r, f.left) | _column(r, f.right)
+    j = r.columns.get(f.name if isinstance(f, Lit) else f)
+    col = np.zeros(len(r.origin), dtype=bool) if j is None else r.labels[:, j]
+    return ~col if isinstance(f, Lit) and not f.positive else col
 
 
 def temporal_subformulas(f: LtlFormula) -> list[LtlFormula]:
@@ -250,7 +271,7 @@ def _operands(r: RefinedChain, psi: LtlFormula) -> tuple[list[bool] | None, list
     """
 
     def sat(g: LtlFormula) -> list[bool]:
-        return [_sat(lab, g) for lab in r.labels]
+        return _column(r, g).tolist()
 
     n = len(r.origin)
     if isinstance(psi, Until):
@@ -286,51 +307,51 @@ def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -
     """Split every state on whether the run will satisfy psi.
 
     p[i] is the satisfaction probability of psi from state i of r.  The
-    positive copy gets prop as an extra label; check_ltl passes psi
-    itself, which _sat then reads as true in exactly those copies.
+    copies keep their parents' label rows plus one new column, keyed by
+    psi, that is true in the positive copies.  prop is not read: check_ltl
+    passes psi again, and the parameter stays because the benchmark's
+    tracer calls refine with four positional arguments.
     Branches of conditional probability below 1e-12 are dropped; each
     conditioned row is divided by the sum of its kept numerators, which
     equals the branch factor up to the dropped mass, so row sums are
-    exactly one.
+    exactly one.  The rows are built on first read.
     """
-    n = len(r.origin)
-    p = [min(1.0, max(0.0, x)) for x in p]
-    index: dict[tuple[int, int], int] = {}
-    origin: list[int] = []
-    weights: list[float] = []
-    labels: list[frozenset[str | LtlFormula]] = []
-    order: list[tuple[int, int]] = []
-    for u in range(n):
-        for b in (1, 0):
-            factor = p[u] if b else 1.0 - p[u]
-            if factor < _BRANCH_EPS:
-                continue
-            index[(u, b)] = len(order)
-            order.append((u, b))
-            origin.append(r.origin[u])
-            weights.append(r.weights[u] * factor)
-            labels.append(r.labels[u] | {prop} if b else r.labels[u])
+    p = np.fmin(1.0, np.fmax(0.0, np.asarray(p, dtype=float)))
+    factor = np.array((p, 1.0 - p)).T
+    # Copies in order of parent, positive copy first; side 0 is positive.
+    parent, side = np.nonzero(factor >= _BRANCH_EPS)
 
-    g = _prophecy_rule(r, psi)
-    rows: list[list[tuple[int, float]]] = []
-    for u, bu in order:
-        numer: list[tuple[int, float]] = []
-        for v, q in r.rows[u]:
-            for b2 in (1, 0):
-                j = index.get((v, b2))
-                if j is None or g(u, v, b2) != bu:
-                    continue
-                factor = p[v] if b2 else 1.0 - p[v]
-                w = q * factor
-                if w > 0.0:
-                    numer.append((j, w))
-        total = sum(w for _, w in numer)
-        if total <= 0.0:
-            # Measure-zero husk: every successor branch was dropped.
-            rows.append([(index[(u, bu)], 1.0)])
-        else:
-            rows.append([(j, w / total) for j, w in numer])
-    return RefinedChain(origin, weights, labels, rows)
+    def build_rows() -> list[list[tuple[int, float]]]:
+        g = _prophecy_rule(r, psi)
+        prob = p.tolist()
+        order = list(zip(parent.tolist(), (1 - side).tolist()))
+        index = {key: j for j, key in enumerate(order)}
+        rows: list[list[tuple[int, float]]] = []
+        for u, bu in order:
+            numer: list[tuple[int, float]] = []
+            for v, q in r.rows[u]:
+                for b2 in (1, 0):
+                    j = index.get((v, b2))
+                    if j is None or g(u, v, b2) != bu:
+                        continue
+                    w = q * (prob[v] if b2 else 1.0 - prob[v])
+                    if w > 0.0:
+                        numer.append((j, w))
+            total = sum(w for _, w in numer)
+            if total <= 0.0:
+                # Measure-zero husk: every successor branch was dropped.
+                rows.append([(index[(u, bu)], 1.0)])
+            else:
+                rows.append([(j, w / total) for j, w in numer])
+        return rows
+
+    return RefinedChain(
+        origin=r.origin[parent],
+        weights=r.weights[parent] * factor[parent, side],
+        labels=np.concatenate((r.labels[parent], (side == 0)[:, None]), axis=1),
+        columns={**r.columns, psi: r.labels.shape[1]},
+        build_rows=build_rows,
+    )
 
 
 def check_ltl(
@@ -362,9 +383,8 @@ def check_ltl(
         r = refine(r, psi, _prophecy_vector(r, psi), psi)
         if log is not None:
             log.append((psi, r))
-    values = [0.0] * m.n_states
-    for i, o in enumerate(r.origin):
-        if _sat(r.labels[i], f):
-            values[o] += r.weights[i]
-    values = [min(1.0, max(0.0, v)) for v in values]
+    # bincount adds the weights in copy order, as a loop over copies would.
+    mask = _column(r, f)
+    values = np.bincount(r.origin[mask], r.weights[mask], minlength=m.n_states)
+    values = [min(1.0, max(0.0, v)) for v in values.tolist()]
     return ProbVector(tuple(values), values[m.init])

@@ -289,7 +289,10 @@ def parse_ltl(text: str) -> LtlFormula:
     Negation is pushed to the literals; a negation over an until subterm
     is rejected because no NNF dual for U exists in the grammar.
     """
-    return _to_nnf(_Parser(_tokenize(text)).parse(), False)
+    try:
+        return _to_nnf(_Parser(_tokenize(text)).parse(), False)
+    except RecursionError:
+        raise LtlParseError("formula nested too deeply") from None
 
 
 _BIN_SYM = {And: "&", Or: "|", Until: "U"}

@@ -7,7 +7,9 @@ solves (until_prob / next_prob / BSCC characterizations); none of them
 touch the prophecy-refinement path they are used to judge.  The library
 never needs them, so they live here: next_prob, until_prob, gf_oracle,
 fg_oracle, the bottom-SCC search bsccs they rest on, and dense_matrix,
-the chain's transition matrix as a numpy array.
+the chain's transition matrix as a numpy array.  dense_solve is the
+plain dense Gaussian elimination that engine.solve_linear must match
+bit for bit.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import random
 import numpy as np
 
 from pltl_learn.dtmc import Dtmc
-from pltl_learn.engine import _next_vec, _until_vec
+from pltl_learn.engine import LinearSolveError, SingularSystemError, _next_vec, _until_vec
 
 
 def dense_matrix(m: Dtmc) -> np.ndarray:
@@ -25,6 +27,38 @@ def dense_matrix(m: Dtmc) -> np.ndarray:
     for s, t, p in m.transitions:
         out[s, t] += p
     return out
+
+
+def dense_solve(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Ax = c by dense Gaussian elimination with partial pivoting: every
+    step updates the whole trailing block.  Same pivot rule, errors and
+    residual check as engine.solve_linear."""
+    A0 = np.array(A, dtype=float)
+    c0 = np.array(c, dtype=float)
+    n = c0.shape[0]
+    if A0.shape != (n, n):
+        raise ValueError(f"shape mismatch: A is {A0.shape}, c has {n} entries")
+    if n == 0:
+        return np.zeros(0)
+    U = A0.copy()
+    rhs = c0.copy()
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(U[k:, k])))
+        if abs(U[piv, k]) < 1e-12:
+            raise SingularSystemError(f"no usable pivot in column {k}")
+        if piv != k:
+            U[[k, piv]] = U[[piv, k]]
+            rhs[[k, piv]] = rhs[[piv, k]]
+        factors = U[k + 1 :, k] / U[k, k]
+        U[k + 1 :, k:] -= np.outer(factors, U[k, k:])
+        rhs[k + 1 :] -= factors * rhs[k]
+    x = np.zeros(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = (rhs[k] - U[k, k + 1 :] @ x[k + 1 :]) / U[k, k]
+    resid = float(np.max(np.abs(A0 @ x - c0)))
+    if resid > 1e-9 * (1.0 + float(np.max(np.abs(c0)))):
+        raise LinearSolveError(f"residual {resid} too large")
+    return x
 
 
 def bsccs(m: Dtmc) -> list[frozenset[int]]:

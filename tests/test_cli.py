@@ -308,6 +308,18 @@ def test_check_rejects_bad_formula(branch_json, capsys):
     assert "(a U b)" in err
 
 
+@pytest.mark.parametrize(
+    "formula",
+    ["X(" * 3000 + "a" + ")" * 3000, "!" * 3000 + "a", "F(" * 900 + "a" + ")" * 900],
+    ids=["next-3000", "not-3000", "finally-900"],
+)
+def test_check_rejects_deeply_nested_formula(branch_json, capsys, formula):
+    rc, _, err = run(capsys, "check", "--model", str(branch_json), "--formula", formula)
+    assert rc == 2
+    assert err.startswith("error: formula nested too deeply")
+    assert "Traceback" not in err
+
+
 def test_check_rejects_bad_model(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"states": 1}')

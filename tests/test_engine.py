@@ -5,7 +5,8 @@ import pytest
 
 import chains
 from chains import fg_oracle, gf_oracle, next_prob, until_prob
-from pltl_learn.dtmc import Dtmc, parse_json_dtmc
+from pltl_learn import learner
+from pltl_learn.dtmc import Dtmc, Sample, parse_json_dtmc
 from pltl_learn.engine import (
     LinearSolveError,
     ProbVector,
@@ -18,7 +19,7 @@ from pltl_learn.engine import (
     temporal_subformulas,
 )
 from pltl_learn.learner import gbe_init, gbe_step, size_bucket
-from pltl_learn.ltl import And, Finally, Lit, LtlFormula, Next, parse_ltl, print_ltl
+from pltl_learn.ltl import And, Finally, Lit, LtlFormula, Next, Or, parse_ltl, print_ltl
 
 
 def _mk(n, init, labels, edges, ap=("a", "b")):
@@ -93,6 +94,75 @@ def test_singular_is_a_linear_solve_error():
     assert issubclass(SingularSystemError, LinearSolveError)
 
 
+def _sparse_system(rng, n):
+    # I - Q for a substochastic Q with at most three successors per row,
+    # the rest of each row's mass going to the target: the shape of the
+    # systems _until_vec builds.
+    A, c = np.eye(n), np.zeros(n)
+    for i in range(n):
+        k = int(rng.integers(1, min(3, n) + 1))
+        mass = rng.uniform(0.05, 1.0, size=k + 1)
+        mass /= mass.sum()
+        for t, q in zip(rng.choice(n, size=k, replace=False), mass[:k]):
+            A[i, t] -= q
+        c[i] = mass[k]
+    return A, c
+
+
+def _grid_system(rng, w, h):
+    # A w x h gridworld walk: each cell steps to its four neighbours or
+    # stays; a step off the grid reaches the target.
+    n = w * h
+    A, c = np.eye(n), np.zeros(n)
+    for y in range(h):
+        for x in range(w):
+            i = y * w + x
+            mass = rng.uniform(0.1, 1.0, size=5)
+            mass /= mass.sum()
+            A[i, i] -= mass[4]
+            for (dx, dy), q in zip(((1, 0), (-1, 0), (0, 1), (0, -1)), mass[:4]):
+                if 0 <= x + dx < w and 0 <= y + dy < h:
+                    A[i, i + dy * w + dx] -= q
+                else:
+                    c[i] += q
+    return A, c
+
+
+def _dense_system(rng, n):
+    A = rng.uniform(-1.0, 1.0, size=(n, n))
+    A += np.diag((n + 1.0) * np.sign(np.diag(A)))
+    return A, rng.uniform(-5.0, 5.0, size=n)
+
+
+def test_solve_matches_dense_elimination_bit_for_bit():
+    rng = np.random.default_rng(71)
+    systems = [_sparse_system(rng, int(rng.integers(1, 80))) for _ in range(150)]
+    systems += [_grid_system(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12))) for _ in range(40)]
+    systems += [_dense_system(rng, int(rng.integers(1, 40))) for _ in range(60)]
+    for A, c in systems:
+        assert np.array_equal(solve_linear(A, c), chains.dense_solve(A, c))
+
+
+def test_solve_leaves_its_inputs_unchanged():
+    A, c = _grid_system(np.random.default_rng(79), 4, 3)
+    A0, c0 = A.copy(), c.copy()
+    solve_linear(A, c)
+    assert np.array_equal(A, A0) and np.array_equal(c, c0)
+
+
+def test_solve_singular_names_the_dense_elimination_column():
+    rng = np.random.default_rng(73)
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        A, c = _sparse_system(rng, n)
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        A[j] = A[i]
+        with pytest.raises(SingularSystemError) as want:
+            chains.dense_solve(A, c)
+        with pytest.raises(SingularSystemError, match=f"^{want.value}$"):
+            solve_linear(A, c)
+
+
 # ---------------------------------------------------------------------------
 # Worked examples, pinned
 
@@ -163,6 +233,28 @@ def test_sure_until_is_exactly_one_on_pool_chain_43():
     assert v.values == (1.0,) * 12
 
 
+def test_pool_chain_43_search_counters_match_the_benchmark_reference(monkeypatch):
+    # The same chain on both sides: no formula separates them, so learn
+    # scores every body.  The counters are bench/ref/exhaustive.json's
+    # sizes 1-4 for this chain; they pin the exact 0/1 discard and pool
+    # rules of pts and learn.
+    made = []
+    run_stats = learner.RunStats
+
+    def recording_stats():
+        made.append(run_stats())
+        return made[-1]
+
+    monkeypatch.setattr(learner, "RunStats", recording_stats)
+    sample = Sample.build([POOL_CHAIN_43], [POOL_CHAIN_43])
+    with pytest.raises(learner.NoSolutionError):
+        learner.learn(sample, learner.LearnConfig(max_size=4))
+    (stats,) = made
+    assert stats.checked == {1: 6, 2: 18, 3: 66, 4: 423}
+    assert stats.discarded == {1: 0, 2: 6, 3: 9, 4: 57}
+    assert stats.pooled == {1: 0, 2: 8, 3: 16, 4: 179}
+
+
 def test_propositional_formulas_fold_to_indicators():
     v = check_ltl(C3, parse_ltl("(a | b)"))
     assert v.values == (1.0, 1.0, 0.0)
@@ -204,8 +296,8 @@ def test_refinement_of_sure_formula_is_isomorphic():
     check_ltl(C2, parse_ltl("F(a)"), refinement_log=log)
     ((psi, round0),) = log
     assert print_ltl(psi) == "F(a)"
-    assert round0.origin == [0, 1]
-    assert round0.weights == [1.0, 1.0]
+    assert list(round0.origin) == [0, 1]
+    assert list(round0.weights) == [1.0, 1.0]
     assert round0.rows == [[(0, 0.5), (1, 0.5)], [(1, 1.0)]]
 
 
@@ -213,8 +305,8 @@ def test_refinement_splits_branch_example():
     log: list[tuple[LtlFormula, RefinedChain]] = []
     check_ltl(C1, parse_ltl("F(a)"), refinement_log=log)
     ((_, round0),) = log
-    assert round0.origin == [0, 0, 1, 2]
-    assert round0.weights == [0.3, 0.7, 1.0, 1.0]
+    assert list(round0.origin) == [0, 0, 1, 2]
+    assert list(round0.weights) == [0.3, 0.7, 1.0, 1.0]
     # the positive copy of the root commits to the a-branch, the negative
     # copy to the other one
     assert round0.rows[0] == [(2, 1.0)]
@@ -247,8 +339,8 @@ def test_refine_husk_keeps_rows_stochastic():
 
 def test_initial_refinement_copies_chain():
     r = initial_refinement(C1)
-    assert r.origin == [0, 1, 2]
-    assert r.weights == [1.0, 1.0, 1.0]
+    assert list(r.origin) == [0, 1, 2]
+    assert list(r.weights) == [1.0, 1.0, 1.0]
     assert r.rows[0] == [(1, 0.3), (2, 0.7)]
 
 
@@ -330,6 +422,49 @@ def test_shared_log_matches_fresh_evaluation():
             assert all(log[i][1] is before[i][1] for i in range(keep))
             reused += keep
     assert reused > 0
+
+
+def _copy_sat(labels: frozenset, f: LtlFormula) -> bool:
+    # Truth of f in one copy whose labels are a set of names and nodes.
+    if isinstance(f, Lit):
+        return (f.name in labels) == f.positive
+    if isinstance(f, And):
+        return _copy_sat(labels, f.left) and _copy_sat(labels, f.right)
+    if isinstance(f, Or):
+        return _copy_sat(labels, f.left) or _copy_sat(labels, f.right)
+    return f in labels
+
+
+def test_weight_sum_matches_a_loop_over_copies():
+    # The plain per-copy loop the label matrix and bincount replace: the
+    # sums are added in the same order, so the values are equal.
+    state = gbe_init(("a", "b", "c"), max_depth=2)
+    bodies = size_bucket(state, 1)
+    for n in range(2, 5):
+        gbe_step(state, n)
+        bodies += size_bucket(state, n)
+    rng = random.Random(67)
+    for ap in (("a", "b", "c"), ("a", "b")):
+        m = chains.random_chain(rng, max_states=10, ap=ap)
+        for f in bodies:
+            log: list[tuple[LtlFormula, RefinedChain]] = []
+            got = check_ltl(m, f, log)
+            r = log[-1][1] if log else initial_refinement(m)
+            values = [0.0] * m.n_states
+            for i, o in enumerate(r.origin):
+                labels = frozenset(key for key, j in r.columns.items() if r.labels[i, j])
+                if _copy_sat(labels, f):
+                    values[o] += r.weights[i]
+            assert got.values == tuple(min(1.0, max(0.0, v)) for v in values), print_ltl(f)
+
+
+def test_rows_are_built_only_for_rounds_refined_again():
+    log: list[tuple[LtlFormula, RefinedChain]] = []
+    check_ltl(C5, parse_ltl("F(a & F(b))"), refinement_log=log)
+    (_, inner), (_, outer) = log
+    assert "rows" in vars(inner)  # read to resolve F(a & F(b))
+    assert "rows" not in vars(outer)
+    assert sum(w for _, w in outer.rows[0]) == pytest.approx(1.0)
 
 
 def test_duality_on_random_chains():
