@@ -37,8 +37,8 @@ class Dtmc:
 
     ``transitions`` is a tuple of (src, dst, prob) triples with positive
     probabilities; every state needs an outgoing distribution summing to
-    one.  Construction validates and raises DtmcError on the first
-    problem; ``validate`` collects all of them instead.
+    one.  Construction raises DtmcError naming every problem that
+    ``validate`` finds.
     """
 
     n_states: int

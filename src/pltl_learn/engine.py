@@ -329,6 +329,8 @@ def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -
         rows: list[list[tuple[int, float]]] = []
         for u, bu in order:
             numer: list[tuple[int, float]] = []
+            # Added left to right: sum() compensates from Python 3.12 on.
+            total = 0.0
             for v, q in r.rows[u]:
                 for b2 in (1, 0):
                     j = index.get((v, b2))
@@ -337,7 +339,7 @@ def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -
                     w = q * (prob[v] if b2 else 1.0 - prob[v])
                     if w > 0.0:
                         numer.append((j, w))
-            total = sum(w for _, w in numer)
+                        total += w
             if total <= 0.0:
                 # Measure-zero husk: every successor branch was dropped.
                 rows.append([(index[(u, bu)], 1.0)])

@@ -38,7 +38,8 @@ from .ltl import (
     PltlOr,
     Until,
     boolean_simplify_applies,
-    canonicalize,
+    canonicalize,  # unused here; bench/spans.py traces it by this name
+    join,
     print_ltl,
     print_pltl,
     temporal_simplify_applies,
@@ -199,13 +200,12 @@ def gbe_init(ap, max_depth: int = 2, stats: RunStats | None = None) -> SearchSta
     return state
 
 
-def _consider(state: SearchState, sink: list[LtlFormula], cand: LtlFormula, binop):
-    state.stats.add("constructed", cand.size)
-    c = canonicalize(cand)
+def _consider(state: SearchState, sink: list[LtlFormula], c: LtlFormula, operands=None):
+    state.stats.add("constructed", c.size)
     if temporal_simplify_applies(c):
         state.stats.add("pruned_temporal", c.size)
         return
-    if binop is not None and boolean_simplify_applies(*binop):
+    if operands is not None and boolean_simplify_applies(*operands):
         state.stats.add("pruned_boolean", c.size)
         return
     if c in state.seen:
@@ -222,8 +222,9 @@ def gbe_step(state: SearchState, n: int) -> None:
     Unary operators lift size n-1; binary ones combine sizes k and
     n-1-k.  Depth bookkeeping pairs the buckets so each combination is
     produced exactly once per operand multiset; commutativity of & and |
-    is covered by canonical ordering plus the duplicate check.  Formulas
-    leave a layer only through remove_formulas.
+    is covered by join, which orders the chain of canonical operands, plus
+    the duplicate check.  Formulas leave a layer only through
+    remove_formulas.
     """
     if n < 2:
         raise ValueError("size-one layer is built by gbe_init")
@@ -240,25 +241,25 @@ def gbe_step(state: SearchState, n: int) -> None:
         sink = new[d]
         if d >= 1:
             for child in bk[n - 1][d - 1]:
-                _consider(state, sink, Next(child), None)
-                _consider(state, sink, Finally(child), None)
-                _consider(state, sink, Globally(child), None)
+                _consider(state, sink, Next(child))
+                _consider(state, sink, Finally(child))
+                _consider(state, sink, Globally(child))
         for k in range(1, n - 1):
             lhs, rhs = bk[k], bk[n - 1 - k]
             for left in lhs[d]:
                 for d2 in range(d + 1):
                     for right in rhs[d2]:
-                        _consider(state, sink, And(left, right), ("&", left, right))
-                        _consider(state, sink, Or(left, right), ("|", left, right))
+                        _consider(state, sink, join(And, left, right), (left, right))
+                        _consider(state, sink, join(Or, left, right), (left, right))
             if d >= 1:
                 for left in lhs[d - 1]:
                     for d2 in range(d):
                         for right in rhs[d2]:
-                            _consider(state, sink, Until(left, right), ("U", left, right))
+                            _consider(state, sink, Until(left, right), (left, right))
                 for d2 in range(d - 1):
                     for left in lhs[d2]:
                         for right in rhs[d - 1]:
-                            _consider(state, sink, Until(left, right), ("U", left, right))
+                            _consider(state, sink, Until(left, right), (left, right))
 
     state.buckets[n] = new
 

@@ -5,6 +5,12 @@ nesting depth, and a stable 64-bit structural hash are computed once at
 construction and cached on the node.  The hash is derived from blake2b so
 it does not vary across interpreter runs; equal hashes are always
 re-checked by full structural comparison (dict/set semantics do this).
+
+A formula is canonical when every And/Or chain in it is left-associated
+with its operands in (structural hash, printed form) order.  ``join``,
+``boolean_simplify_applies`` and ``is_complement`` take canonical
+operands and do not canonicalize them again; ``canonicalize`` makes any
+formula canonical.
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ __all__ = [
     "parse_ltl",
     "print_ltl",
     "canonicalize",
+    "join",
     "nnf_dual",
     "is_complement",
     "temporal_simplify_applies",
@@ -32,7 +39,6 @@ __all__ = [
     "PltlAnd",
     "PltlOr",
     "PltlFormula",
-    "pltl_size",
     "print_pltl",
 ]
 
@@ -160,6 +166,7 @@ class Until(LtlFormula):
 # Concrete syntax
 
 _UNARY_OPS = {"X": Next, "F": Finally, "G": Globally}
+_BIN_CLS = {"&": And, "|": Or, "U": Until}
 _RESERVED = {"X", "F", "G", "U"}
 
 
@@ -198,10 +205,6 @@ def _tokenize(text: str):
     return toks
 
 
-# The parser first builds a neutral tuple tree -- ("lit", name),
-# ("not", t), ("un", op, t), ("bin", op, l, r) -- because the dataclass
-# nodes compute their invariants at construction and negations are only
-# resolved by the NNF pass afterwards.
 class _Parser:
     def __init__(self, toks):
         self.toks = toks
@@ -237,7 +240,7 @@ class _Parser:
                 raise LtlParseError(
                     "chained binary operators need explicit parentheses", p2
                 )
-            return ("bin", val, left, right)
+            return _BIN_CLS[val](left, right)
         return left
 
     def _unary(self):
@@ -249,48 +252,41 @@ class _Parser:
                 raise LtlParseError("expected ')'", p2)
             return node
         if val == "!":
-            return ("not", self._unary())
+            node = self._unary()
+            dual = nnf_dual(node)
+            if dual is None:
+                raise LtlParseError(
+                    f"negation of an until subterm is outside the NNF grammar: "
+                    f"{print_ltl(_first_until(node))}"
+                )
+            return dual
         if kind == "op" and val in _UNARY_OPS:
-            return ("un", val, self._unary())
+            return _UNARY_OPS[val](self._unary())
         if kind == "ident":
-            return ("lit", val)
+            return Lit(val)
         raise LtlParseError(f"unexpected token {val!r}", pos)
 
 
-_BIN_CLS = {"&": And, "|": Or, "U": Until}
-_BIN_DUAL = {"&": Or, "|": And}
-_UN_DUAL = {"X": Next, "F": Globally, "G": Finally}
-
-
-def _to_nnf(node, negated: bool) -> LtlFormula:
-    tag = node[0]
-    if tag == "not":
-        return _to_nnf(node[1], not negated)
-    if tag == "lit":
-        return Lit(node[1], not negated)
-    if tag == "un":
-        cls = _UN_DUAL[node[1]] if negated else _UNARY_OPS[node[1]]
-        return cls(_to_nnf(node[2], negated))
-    op = node[1]
-    if op == "U" and negated:
-        positive = Until(_to_nnf(node[2], False), _to_nnf(node[3], False))
-        raise LtlParseError(
-            f"negation of an until subterm is outside the NNF grammar: "
-            f"{print_ltl(positive)}"
-        )
-    cls = _BIN_DUAL[op] if negated else _BIN_CLS[op]
-    return cls(_to_nnf(node[2], negated), _to_nnf(node[3], negated))
+def _first_until(f: LtlFormula) -> Until | None:
+    """The first until subterm of f in pre-order, or None."""
+    if isinstance(f, Until):
+        return f
+    if isinstance(f, (And, Or)):
+        return _first_until(f.left) or _first_until(f.right)
+    if isinstance(f, (Next, Finally, Globally)):
+        return _first_until(f.child)
+    return None
 
 
 def parse_ltl(text: str) -> LtlFormula:
     """Parse the ASCII concrete syntax into an NNF formula.
 
     Binary operators must be parenthesized: ``(a U b)``, ``F(a & F(b))``.
-    Negation is pushed to the literals; a negation over an until subterm
-    is rejected because no NNF dual for U exists in the grammar.
+    Each ``!`` applies ``nnf_dual`` to its operand at once; U has no NNF
+    dual, so an operand containing an until is rejected, even under ``!!``.
     """
     try:
-        return _to_nnf(_Parser(_tokenize(text)).parse(), False)
+        return _Parser(_tokenize(text)).parse()
     except RecursionError:
         raise LtlParseError("formula nested too deeply") from None
 
@@ -319,18 +315,32 @@ def _bare(f: LtlFormula) -> str:
 # Canonical form and syntactic simplification predicates
 
 
-def _flatten(f: LtlFormula, cls) -> list[LtlFormula]:
-    if isinstance(f, cls):
-        return _flatten(f.left, cls) + _flatten(f.right, cls)
-    return [canonicalize(f)]
+def _operands(f: LtlFormula, cls) -> list[LtlFormula]:
+    """The operands of a left-associated cls chain, in order."""
+    return _operands(f.left, cls) + [f.right] if isinstance(f, cls) else [f]
+
+
+def join(cls, f: LtlFormula, g: LtlFormula) -> LtlFormula:
+    """The canonical cls(f, g) of two canonical operands, cls And or Or.
+
+    The operand chains of f and g are merged in (structural hash,
+    printed form) order and rebuilt left-associatively; operands are not
+    looked into, since they are canonical already.
+    """
+    ops = sorted(_operands(f, cls) + _operands(g, cls), key=lambda h: h.hash64)
+    if len({h.hash64 for h in ops}) < len(ops):  # only ties need printing
+        ops.sort(key=lambda h: (h.hash64, print_ltl(h)))
+    out = ops[0]
+    for h in ops[1:]:
+        out = cls(out, h)
+    return out
 
 
 def canonicalize(f: LtlFormula) -> LtlFormula:
-    """Sort and left-associate operands of commutative chains.
+    """The canonical form of any f: the bottom-up fold of ``join``.
 
-    And/Or chains are flattened, operands ordered by (structural hash,
-    printed form), and rebuilt left-associatively; the result is a fixed
-    point of this function.  Size and semantics are unchanged.
+    Size and semantics are unchanged.  The enumerator builds every
+    candidate from canonical operands with ``join`` and never needs this.
     """
     if isinstance(f, Lit):
         return f
@@ -338,40 +348,32 @@ def canonicalize(f: LtlFormula) -> LtlFormula:
         return type(f)(canonicalize(f.child))
     if isinstance(f, Until):
         return Until(canonicalize(f.left), canonicalize(f.right))
-    cls = type(f)
-    ops = sorted(_flatten(f, cls), key=lambda g: (g.hash64, print_ltl(g)))
-    out = ops[0]
-    for g in ops[1:]:
-        out = cls(out, g)
-    return out
+    return join(type(f), canonicalize(f.left), canonicalize(f.right))
+
+
+_DUAL = {Next: Next, Finally: Globally, Globally: Finally, And: Or, Or: And}
 
 
 def nnf_dual(f: LtlFormula) -> LtlFormula | None:
-    """The NNF negation of f, or None when it leaves the grammar (U)."""
+    """The NNF negation of f in f's operand order (so not always
+    canonical), or None when it leaves the grammar (U)."""
     if isinstance(f, Lit):
         return Lit(f.name, not f.positive)
-    if isinstance(f, Next):
+    if isinstance(f, (Next, Finally, Globally)):
         inner = nnf_dual(f.child)
-        return None if inner is None else Next(inner)
-    if isinstance(f, Finally):
-        inner = nnf_dual(f.child)
-        return None if inner is None else Globally(inner)
-    if isinstance(f, Globally):
-        inner = nnf_dual(f.child)
-        return None if inner is None else Finally(inner)
-    if isinstance(f, And):
+        return None if inner is None else _DUAL[type(f)](inner)
+    if isinstance(f, (And, Or)):
         l, r = nnf_dual(f.left), nnf_dual(f.right)
-        return None if l is None or r is None else Or(l, r)
-    if isinstance(f, Or):
-        l, r = nnf_dual(f.left), nnf_dual(f.right)
-        return None if l is None or r is None else And(l, r)
+        return None if l is None or r is None else _DUAL[type(f)](l, r)
     return None
 
 
 def is_complement(f: LtlFormula, g: LtlFormula) -> bool:
-    """True iff g is structurally the NNF dual of f."""
+    """True iff g is the canonical NNF dual of f; both must be canonical."""
+    if f.size != g.size:  # a dual has the size of its formula
+        return False
     d = nnf_dual(f)
-    return d is not None and canonicalize(d) == canonicalize(g)
+    return d is not None and canonicalize(d) == g
 
 
 def temporal_simplify_applies(f: LtlFormula) -> bool:
@@ -415,17 +417,15 @@ def temporal_simplify_applies(f: LtlFormula) -> bool:
     return False
 
 
-def boolean_simplify_applies(op: str, f: LtlFormula, g: LtlFormula) -> bool:
-    """Syntactic collapse check for a binary combination of f and g.
+def boolean_simplify_applies(f: LtlFormula, g: LtlFormula) -> bool:
+    """Syntactic collapse check for a binary combination of canonical f and g.
 
-    Fires when the canonicalized operands are equal or NNF complements of
-    each other.  Either way the combination is equivalent to a strictly
-    smaller retained formula or to a constant, so it is never needed.
+    Fires when the operands are equal or NNF complements of each other.
+    Either way the combination is equivalent to a strictly smaller
+    retained formula or to a constant, so it is never needed.  Operands
+    that are not canonical can miss a match.
     """
-    if op not in ("&", "|", "U"):
-        raise ValueError(f"unknown binary operator {op!r}")
-    cf, cg = canonicalize(f), canonicalize(g)
-    return cf == cg or is_complement(cf, cg)
+    return f == g or is_complement(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +455,6 @@ class PltlOr:
 
 
 PltlFormula = PltlAtom | PltlAnd | PltlOr
-
-
-def pltl_size(f: PltlFormula) -> int:
-    """Size of a threshold formula; the quantifier itself costs nothing."""
-    if isinstance(f, PltlAtom):
-        return f.body.size
-    return pltl_size(f.left) + pltl_size(f.right) + 1
 
 
 def print_pltl(f: PltlFormula) -> str:

@@ -159,8 +159,8 @@ def test_criterion_3_enumeration_and_pruning():
         for k in range(1, n - 1):
             for left in flat[k]:
                 for right in flat[n - 1 - k]:
-                    for sym, cls in (("&", And), ("|", Or), ("U", Until)):
-                        cands.append((cls(left, right), (sym, left, right)))
+                    for cls in (And, Or, Until):
+                        cands.append((cls(left, right), (left, right)))
         for cand, binop in cands:
             c = canonicalize(cand)
             if not (

@@ -5,7 +5,7 @@ import pytest
 
 import chains
 from chains import fg_oracle, gf_oracle, next_prob, until_prob
-from pltl_learn import learner
+from pltl_learn import engine, learner
 from pltl_learn.dtmc import Dtmc, Sample, parse_json_dtmc
 from pltl_learn.engine import (
     LinearSolveError,
@@ -456,6 +456,43 @@ def test_weight_sum_matches_a_loop_over_copies():
                 if _copy_sat(labels, f):
                     values[o] += r.weights[i]
             assert got.values == tuple(min(1.0, max(0.0, v)) for v in values), print_ltl(f)
+
+
+# scripts/engine_digest.py random_chain(0, 6, AP): masses are multiples of 1/60.
+SIXTIETHS_CHAIN = Dtmc(
+    6,
+    5,
+    ("a", "b", "c"),
+    (frozenset(), frozenset("a"), frozenset("b"), frozenset(), frozenset("a"), frozenset("a")),
+    tuple(
+        (s, t, k / 60)
+        for s, t, k in (
+            (0, 2, 10), (0, 0, 48), (0, 4, 2), (1, 4, 22), (1, 0, 9), (1, 2, 29),
+            (2, 4, 21), (2, 1, 39), (3, 4, 29), (3, 2, 2), (3, 0, 29), (4, 0, 1),
+            (4, 3, 58), (4, 5, 1), (5, 2, 32), (5, 1, 21), (5, 5, 7),
+        )
+    ),
+)
+
+
+def _neumaier_sum(xs, start=0):
+    # The compensated float sum of Python 3.12 and later.
+    total, comp = float(start), 0.0
+    for x in xs:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
+
+
+def test_row_totals_do_not_depend_on_the_python_sum(monkeypatch):
+    # Conditioned rows divide by their total; a compensated sum rounds
+    # state 3 of X(X(!b)) one ulp lower than left-to-right addition.
+    f = parse_ltl("X(X(!b))")
+    plain = check_ltl(SIXTIETHS_CHAIN, f).values
+    assert plain[3] == 0.9194444444444446
+    monkeypatch.setattr(engine, "sum", _neumaier_sum, raising=False)
+    assert check_ltl(SIXTIETHS_CHAIN, f).values == plain
 
 
 def test_rows_are_built_only_for_rounds_refined_again():

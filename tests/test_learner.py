@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -162,6 +163,53 @@ def test_gbe_counters_balance_bucket_sizes():
         assert s.constructed[n] == (
             s.pruned_temporal.get(n, 0) + s.pruned_boolean.get(n, 0) + kept
         )
+
+
+def _buckets(ap, max_depth, max_size):
+    state = gbe_init(ap, max_depth)
+    for n in range(2, max_size + 1):
+        gbe_step(state, n)
+    return state.buckets
+
+
+def test_enumerated_buckets_are_pinned():
+    # Every member, in bucket order, of two enumerations; the digest was
+    # taken before candidates were built canonical by construction.
+    h = hashlib.sha256()
+    for ap, max_depth, max_size in ((("a", "b", "c"), 2, 5), (("p",), 4, 6)):
+        buckets = _buckets(ap, max_depth, max_size)
+        for n in range(1, max_size + 1):
+            for d, layer in enumerate(buckets[n]):
+                for f in layer:
+                    h.update(f"{n} {d} {print_ltl(f)}\n".encode())
+    assert h.hexdigest() == "72523e297d9b8a6c831c568b2358ad8ea255ba0e7c9fce103a6521516ae53b75"
+
+
+def _is_canonical(f) -> bool:
+    # By definition: each &/| chain leans left (no right operand of the
+    # chain's class), with operand keys (hash, printed form) non-decreasing.
+    if isinstance(f, Lit):
+        return True
+    if isinstance(f, (Next, Finally, Globally)):
+        return _is_canonical(f.child)
+    if isinstance(f, Until):
+        return _is_canonical(f.left) and _is_canonical(f.right)
+    cls, ops = type(f), []
+    while isinstance(f, cls):
+        if isinstance(f.right, cls):
+            return False
+        ops.append(f.right)
+        f = f.left
+    ops.append(f)
+    keys = [(g.hash64, print_ltl(g)) for g in reversed(ops)]
+    return keys == sorted(keys) and all(map(_is_canonical, ops))
+
+
+def test_enumerated_bodies_are_canonical():
+    buckets = _buckets(("a", "b"), 3, 6)
+    bodies = [f for n in range(1, 7) for layer in buckets[n] for f in layer]
+    assert sum(isinstance(f, (And, Or)) and isinstance(f.left, type(f)) for f in bodies) > 100
+    assert all(_is_canonical(f) for f in bodies)
 
 
 def test_enumeration_is_semantically_complete():

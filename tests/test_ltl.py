@@ -19,9 +19,9 @@ from pltl_learn.ltl import (
     boolean_simplify_applies,
     canonicalize,
     is_complement,
+    join,
     nnf_dual,
     parse_ltl,
-    pltl_size,
     print_ltl,
     print_pltl,
     temporal_simplify_applies,
@@ -70,6 +70,13 @@ def test_parse_negated_until_rejected():
     # also when the negation arrives via NNF pushing
     with pytest.raises(LtlParseError):
         parse_ltl("!(c | (a U b))")
+
+
+def test_parse_names_the_negated_until():
+    # Each ! is applied at once, so a second one cannot cancel it.
+    for text in ("!(c | (a U b))", "!!(a U b)", "!(c & !(a U b))", "!X((a U b) | (b U c))"):
+        with pytest.raises(LtlParseError, match=r"\(a U b\)"):
+            parse_ltl(text)
 
 
 def test_parse_chained_binary_needs_parens():
@@ -204,6 +211,39 @@ def test_canonicalize_idempotent():
         assert parse_ltl(print_ltl(c)) == c
 
 
+def test_join_is_canonicalize_of_the_pair():
+    rng = random.Random(29)
+    both_chains = 0
+    for _ in range(2000):
+        cls = rng.choice((And, Or))
+        # Chains of cls on either side, with operands that repeat.
+        f, g = (
+            canonicalize(
+                random_formula(rng, rng.randint(1, 4), ("a", "b"))
+                if rng.random() < 0.4
+                else cls(
+                    random_formula(rng, rng.randint(1, 3), ("a", "b")),
+                    random_formula(rng, rng.randint(1, 3), ("a", "b")),
+                )
+            )
+            for _ in range(2)
+        )
+        both_chains += isinstance(f, cls) and isinstance(g, cls)
+        assert join(cls, f, g) == canonicalize(cls(f, g)), (print_ltl(f), print_ltl(g))
+    assert both_chains > 500
+
+
+def test_parsed_negation_is_nnf_dual():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 500:
+        f = random_formula(rng, rng.randint(1, 8))
+        if " U " in print_ltl(f):
+            continue
+        assert parse_ltl("!(" + print_ltl(f) + ")") == nnf_dual(f), print_ltl(f)
+        checked += 1
+
+
 # ---------------------------------------------------------------------------
 # Complements and simplification predicates
 
@@ -216,9 +256,25 @@ def test_is_complement_literals():
 
 def test_is_complement_dual_pair():
     assert is_complement(parse_ltl("G(!h)"), parse_ltl("F(h)"))
-    assert is_complement(parse_ltl("(F(a) & G(b))"), parse_ltl("(G(!a) | F(!b))"))
-    assert is_complement(parse_ltl("(G(!a) | F(!b))"), parse_ltl("(F(a) & G(b))"))
+    conj = canonicalize(parse_ltl("(F(a) & G(b))"))
+    disj = canonicalize(parse_ltl("(G(!a) | F(!b))"))
+    assert is_complement(conj, disj)
+    assert is_complement(disj, conj)
     assert not is_complement(parse_ltl("F(a)"), parse_ltl("G(a)"))
+
+
+def test_is_complement_orders_the_dual():
+    # The dual keeps f's operand order, which is not always canonical.
+    rng = random.Random(37)
+    reordered = 0
+    for _ in range(500):
+        f = canonicalize(random_formula(rng, rng.randint(1, 8)))
+        d = nnf_dual(f)
+        if d is None:
+            continue
+        assert is_complement(f, canonicalize(d)), print_ltl(f)
+        reordered += d != canonicalize(d)
+    assert reordered > 20
 
 
 def test_is_complement_until_has_no_dual():
@@ -267,15 +323,15 @@ def test_temporal_rules():
 
 def test_boolean_simplify_cases():
     p, q = Lit("p"), Lit("q")
-    assert boolean_simplify_applies("&", p, p)
-    assert boolean_simplify_applies("U", p, Lit("p", False))
-    assert not boolean_simplify_applies("|", parse_ltl("F(a)"), parse_ltl("G(b)"))
+    assert boolean_simplify_applies(p, p)
+    assert boolean_simplify_applies(p, Lit("p", False))
+    assert not boolean_simplify_applies(parse_ltl("F(a)"), parse_ltl("G(b)"))
     # equality is up to canonical reordering
-    assert boolean_simplify_applies("&", parse_ltl("(p & q)"), parse_ltl("(q & p)"))
-    assert boolean_simplify_applies("|", parse_ltl("F(a)"), parse_ltl("G(!a)"))
-    assert not boolean_simplify_applies("&", p, q)
-    with pytest.raises(ValueError):
-        boolean_simplify_applies("->", p, q)
+    assert boolean_simplify_applies(
+        canonicalize(parse_ltl("(p & q)")), canonicalize(parse_ltl("(q & p)"))
+    )
+    assert boolean_simplify_applies(parse_ltl("F(a)"), parse_ltl("G(!a)"))
+    assert not boolean_simplify_applies(p, q)
 
 
 def test_structural_hash_discriminates():
@@ -345,10 +401,10 @@ def test_pruning_soundness_lasso():
         for k in range(1, n - 1):
             for left in flat[k]:
                 for right in flat[n - 1 - k]:
-                    for sym, cls in (("&", And), ("|", Or), ("U", Until)):
+                    for cls in (And, Or, Until):
                         c = canonicalize(cls(left, right))
                         if temporal_simplify_applies(c) or boolean_simplify_applies(
-                            sym, left, right
+                            left, right
                         ):
                             rejected.append(c)
 
@@ -418,14 +474,6 @@ def test_all_syntactic_counts():
 
 # ---------------------------------------------------------------------------
 # Threshold formulas
-
-
-def test_pltl_size():
-    atom = PltlAtom(0.5, parse_ltl("F(a)"))
-    assert pltl_size(atom) == 2
-    both = PltlAnd(atom, PltlAtom(0.99, parse_ltl("F(b)")))
-    assert pltl_size(both) == 5
-    assert pltl_size(PltlOr(both, atom)) == 8
 
 
 def test_pltl_threshold_range():

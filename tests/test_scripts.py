@@ -30,3 +30,13 @@ def test_demo_script_runs(name):
     assert proc.returncode == 0, proc.stderr
     if name == "run_safety_demo.py":
         assert "[G(!h)]" in proc.stdout
+
+
+def test_engine_digest_is_unchanged():
+    # Every check_ltl vector on the script's bodies and chains, bit for bit.
+    # A change that means to alter vectors updates this digest and says why.
+    proc = _run_script("engine_digest.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == (
+        "8c2f66ed1546a2034af7f7a88bc70f812d90f3db9d8c676ae2222b46130571dc"
+    )
