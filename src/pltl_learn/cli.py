@@ -66,7 +66,10 @@ def _print_stats(s) -> None:
 
 def _cmd_learn(args) -> int:
     manifest_path = Path(args.sample)
-    doc = json.loads(manifest_path.read_text())
+    try:
+        doc = json.loads(manifest_path.read_text())
+    except RecursionError:
+        raise DtmcError("manifest nested too deeply") from None
     if not isinstance(doc, dict):
         raise DtmcError("a manifest must be a JSON object")
     base = manifest_path.resolve().parent

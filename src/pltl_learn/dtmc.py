@@ -205,6 +205,13 @@ def _json_list(v, what: str) -> list:
     return v
 
 
+def _check_state_count(n: int, n_edges: int) -> None:
+    # Every state needs an outgoing transition, so a larger count is
+    # rejected before anything is built per state.
+    if n > n_edges:
+        raise DtmcError(f"{n} states declared but only {n_edges} transitions")
+
+
 def parse_json_dtmc(text: str) -> Dtmc:
     """Read the JSON chain format.
 
@@ -216,6 +223,8 @@ def parse_json_dtmc(text: str) -> Dtmc:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DtmcError(f"bad JSON: {e}") from None
+    except RecursionError:
+        raise DtmcError("bad JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DtmcError(f"a chain must be a JSON object, got {type(doc).__name__}")
     for key in ("states", "init", "ap", "labels", "transitions"):
@@ -223,6 +232,15 @@ def parse_json_dtmc(text: str) -> Dtmc:
             raise DtmcError(f"missing key {key!r}")
     n = _json_int(doc["states"], "states")
     init = _json_int(doc["init"], "init")
+    edges = []
+    for row in _json_list(doc["transitions"], "transitions"):
+        try:
+            if not isinstance(row, list) or len(row) != 3:
+                raise TypeError
+            edges.append((int(row[0]), int(row[1]), float(row[2])))
+        except (TypeError, ValueError):
+            raise DtmcError(f"transition row {row!r} is not [src, dst, prob]") from None
+    _check_state_count(n, len(edges))
     raw_labels = doc["labels"]
     labels: list[frozenset[str]] = [frozenset()] * n
     if isinstance(raw_labels, dict):
@@ -240,14 +258,6 @@ def parse_json_dtmc(text: str) -> Dtmc:
         if not 0 <= idx < n:
             raise DtmcError(f"label for out-of-range state {idx}")
         labels[idx] = frozenset(str(x) for x in _json_list(names, f"labels of state {idx}"))
-    edges = []
-    for row in _json_list(doc["transitions"], "transitions"):
-        try:
-            if not isinstance(row, list) or len(row) != 3:
-                raise TypeError
-            edges.append((int(row[0]), int(row[1]), float(row[2])))
-        except (TypeError, ValueError):
-            raise DtmcError(f"transition row {row!r} is not [src, dst, prob]") from None
     return Dtmc(
         n_states=n,
         init=init,
@@ -300,6 +310,7 @@ def parse_prism_explicit(tra_text: str, lab_text: str) -> Dtmc:
         edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
     if len(edges) != m_edges:
         raise DtmcError(f"header promises {m_edges} transitions, found {len(edges)}")
+    _check_state_count(n, len(edges))
 
     lab_lines = [ln.strip() for ln in lab_text.splitlines() if ln.strip()]
     if not lab_lines:

@@ -113,66 +113,51 @@ def _next_vec(rows, pred: list[bool]) -> list[float]:
     return out
 
 
+def _reach_back(preds, start: list[bool], through: list[bool]) -> list[bool]:
+    """The states with a path to a start state whose states before it are
+    all through states: one backward breadth-first pass."""
+    seen = list(start)
+    dq = deque(i for i, x in enumerate(start) if x)
+    while dq:
+        t = dq.popleft()
+        for s in preds[t]:
+            if not seen[s] and through[s]:
+                seen[s] = True
+                dq.append(s)
+    return seen
+
+
 def _until_vec(rows, a: list[bool], b: list[bool]) -> list[float]:
+    """Per-state probability of a U b: graph passes pin the states of
+    probability 0 and 1 (Baier & Katoen, Principles of Model Checking,
+    section 10.1), one linear solve gives the rest."""
     n = len(rows)
     preds: list[list[int]] = [[] for _ in range(n)]
     for s, row in enumerate(rows):
         for t, _ in row:
             preds[t].append(s)
+    pending = [x and not y for x, y in zip(a, b)]
+    # Positive probability: b is reachable through pending states.
+    reach = _reach_back(preds, b, pending)
+    # Probability below one: a zero state is reachable while pending.
+    unsafe = _reach_back(preds, [not x for x in reach], pending)
 
-    # Positive-probability states: can reach b through a-states.
-    reach = [False] * n
-    dq = deque()
-    for i in range(n):
-        if b[i]:
-            reach[i] = True
-            dq.append(i)
-    while dq:
-        t = dq.popleft()
-        for s in preds[t]:
-            if not reach[s] and a[s] and not b[s]:
-                reach[s] = True
-                dq.append(s)
-
-    # States with failure probability: can reach a zero state while the
-    # obligation is still pending.
-    unsafe = [False] * n
-    dq = deque()
-    for i in range(n):
-        if not reach[i]:
-            unsafe[i] = True
-            dq.append(i)
-    while dq:
-        t = dq.popleft()
-        for s in preds[t]:
-            if not unsafe[s] and a[s] and not b[s]:
-                unsafe[s] = True
-                dq.append(s)
-
-    out = [0.0] * n
-    maybe = []
-    for i in range(n):
-        if not reach[i]:
-            out[i] = 0.0
-        elif not unsafe[i]:
-            out[i] = 1.0
-        else:
-            maybe.append(i)
+    out = [1.0 if x and not y else 0.0 for x, y in zip(reach, unsafe)]
+    maybe = [i for i in range(n) if reach[i] and unsafe[i]]
     if maybe:
         pos = {s: j for j, s in enumerate(maybe)}
         k = len(maybe)
-        A = np.zeros((k, k))
+        A = np.eye(k)
         c = np.zeros(k)
         for j, s in enumerate(maybe):
-            A[j, j] = 1.0
             for t, q in rows[s]:
                 if t in pos:
                     A[j, pos[t]] -= q
                 elif reach[t] and not unsafe[t]:
                     c[j] += q
-        x = solve_linear(A, c)
-        for j, s in enumerate(maybe):
-            out[s] = min(1.0, max(0.0, float(x[j])))
+        x = np.fmin(1.0, np.fmax(0.0, solve_linear(A, c)))
+        for s, v in zip(maybe, x.tolist()):
+            out[s] = v
     return out
 
 
@@ -295,14 +280,6 @@ def _prophecy_vector(r: RefinedChain, psi: LtlFormula) -> list[float]:
     return _until_vec(r.rows, a, b)
 
 
-def _prophecy_rule(r: RefinedChain, psi: LtlFormula):
-    """Return g(u, v, b') = prophecy value at u given successor value b'."""
-    a, b = _operands(r, psi)
-    if isinstance(psi, Next):
-        return lambda u, v, b2: 1 if b[v] else 0
-    return lambda u, v, b2: 1 if b[u] else (b2 if a[u] else 0)
-
-
 def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -> RefinedChain:
     """Split every state on whether the run will satisfy psi.
 
@@ -322,7 +299,8 @@ def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -
     parent, side = np.nonzero(factor >= _BRANCH_EPS)
 
     def build_rows() -> list[list[tuple[int, float]]]:
-        g = _prophecy_rule(r, psi)
+        a, b = _operands(r, psi)
+        is_next = isinstance(psi, Next)
         prob = p.tolist()
         order = list(zip(parent.tolist(), (1 - side).tolist()))
         index = {key: j for j, key in enumerate(order)}
@@ -334,7 +312,9 @@ def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -
             for v, q in r.rows[u]:
                 for b2 in (1, 0):
                     j = index.get((v, b2))
-                    if j is None or g(u, v, b2) != bu:
+                    # The step keeps u's prophecy bu iff, for X, v satisfies
+                    # phi, else b holds at u or a does and v's prophecy b2.
+                    if j is None or (b[v] if is_next else b[u] or (a[u] and b2)) != bu:
                         continue
                     w = q * (prob[v] if b2 else 1.0 - prob[v])
                     if w > 0.0:
@@ -388,5 +368,5 @@ def check_ltl(
     # bincount adds the weights in copy order, as a loop over copies would.
     mask = _column(r, f)
     values = np.bincount(r.origin[mask], r.weights[mask], minlength=m.n_states)
-    values = [min(1.0, max(0.0, v)) for v in values.tolist()]
+    values = np.fmin(1.0, np.fmax(0.0, values)).tolist()
     return ProbVector(tuple(values), values[m.init])

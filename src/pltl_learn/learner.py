@@ -433,7 +433,6 @@ def make_scored(body: LtlFormula, pos, neg) -> ScoredCandidate:
 class _Run:
     """Mutable loop state shared between the size scan and the combiner."""
 
-    sample: Sample
     config: LearnConfig
     stats: RunStats
     budget: int
@@ -511,7 +510,8 @@ def learn(sample: Sample, config: LearnConfig) -> LearnResult:
     """
     stats = RunStats()
     state = gbe_init(sample.ap, config.max_depth, stats)
-    run = _Run(sample=sample, config=config, stats=stats, budget=config.max_size)
+    run = _Run(config=config, stats=stats, budget=config.max_size)
+    n_chains = len(sample.positive) + len(sample.negative)
     pooled: list[ScoredCandidate] = []
 
     n = 0
@@ -532,12 +532,16 @@ def learn(sample: Sample, config: LearnConfig) -> LearnResult:
         stats.add("discarded", n, len(res.discards))
         # An atom that is false at the root of every positive or true at
         # the root of every negative is useless inside a combination,
-        # though its body may still serve as a subterm later.
-        scored = [
-            make_scored(f, pos, neg)
-            for f, pos, neg in res.kept
-            if not (all(v == 0.0 for v in pos) or all(v == 1.0 for v in neg))
-        ]
+        # though its body may still serve as a subterm later.  An atom
+        # whose bits alone classify every chain missed delta in pts, and
+        # any pair holding it would admit it without a margin.
+        scored = []
+        for f, pos, neg in res.kept:
+            if all(v == 0.0 for v in pos) or all(v == 1.0 for v in neg):
+                continue
+            cand = make_scored(f, pos, neg)
+            if cand.count < n_chains:
+                scored.append(cand)
         stats.add("pooled", n, len(scored))
         pooled.extend(scored)
         t0 = time.perf_counter()

@@ -88,86 +88,66 @@ class Lit(LtlFormula):
 
 
 @dataclass(frozen=True)
-class Next(LtlFormula):
+class _Unary(LtlFormula):
+    """A temporal operator over one child; subclasses set ``symbol``."""
+
     child: LtlFormula = None
 
     def _measure(self):
-        return self.child.size + 1, self.child.depth + 1, _mix("X", self.child.hash64)
+        c = self.child
+        return c.size + 1, c.depth + 1, _mix(self.symbol, c.hash64)
 
     __hash__ = _node_hash
 
 
 @dataclass(frozen=True)
-class Finally(LtlFormula):
-    child: LtlFormula = None
+class _Binary(LtlFormula):
+    """An operator over two operands; subclasses set ``symbol``."""
 
-    def _measure(self):
-        return self.child.size + 1, self.child.depth + 1, _mix("F", self.child.hash64)
-
-    __hash__ = _node_hash
-
-
-@dataclass(frozen=True)
-class Globally(LtlFormula):
-    child: LtlFormula = None
-
-    def _measure(self):
-        return self.child.size + 1, self.child.depth + 1, _mix("G", self.child.hash64)
-
-    __hash__ = _node_hash
-
-
-@dataclass(frozen=True)
-class And(LtlFormula):
     left: LtlFormula = None
     right: LtlFormula = None
 
     def _measure(self):
-        return (
-            self.left.size + self.right.size + 1,
-            max(self.left.depth, self.right.depth),
-            _mix("&", self.left.hash64, self.right.hash64),
-        )
+        l, r = self.left, self.right
+        return l.size + r.size + 1, max(l.depth, r.depth), _mix(self.symbol, l.hash64, r.hash64)
 
     __hash__ = _node_hash
 
 
-@dataclass(frozen=True)
-class Or(LtlFormula):
-    left: LtlFormula = None
-    right: LtlFormula = None
+class Next(_Unary):
+    symbol = "X"
+
+
+class Finally(_Unary):
+    symbol = "F"
+
+
+class Globally(_Unary):
+    symbol = "G"
+
+
+class And(_Binary):
+    symbol = "&"
+
+
+class Or(_Binary):
+    symbol = "|"
+
+
+class Until(_Binary):
+    symbol = "U"
 
     def _measure(self):
-        return (
-            self.left.size + self.right.size + 1,
-            max(self.left.depth, self.right.depth),
-            _mix("|", self.left.hash64, self.right.hash64),
-        )
-
-    __hash__ = _node_hash
-
-
-@dataclass(frozen=True)
-class Until(LtlFormula):
-    left: LtlFormula = None
-    right: LtlFormula = None
-
-    def _measure(self):
-        return (
-            self.left.size + self.right.size + 1,
-            1 + max(self.left.depth, self.right.depth),
-            _mix("U", self.left.hash64, self.right.hash64),
-        )
-
-    __hash__ = _node_hash
+        size, depth, h = super()._measure()
+        return size, depth + 1, h
 
 
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-_UNARY_OPS = {"X": Next, "F": Finally, "G": Globally}
-_BIN_CLS = {"&": And, "|": Or, "U": Until}
-_RESERVED = {"X", "F", "G", "U"}
+_UNARY_OPS = {c.symbol: c for c in (Next, Finally, Globally)}
+_BIN_CLS = {c.symbol: c for c in (And, Or, Until)}
+_RESERVED = {*_UNARY_OPS, Until.symbol}
 
 
 class LtlParseError(ValueError):
@@ -223,7 +203,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "eof":
             return node
-        if val in ("&", "|", "U"):
+        if val in _BIN_CLS:
             raise LtlParseError(
                 f"binary operator {val!r} requires enclosing parentheses", pos
             )
@@ -231,12 +211,12 @@ class _Parser:
 
     def _group_body(self):
         left = self._unary()
-        kind, val, pos = self.peek()
-        if val in ("&", "|") or (kind == "op" and val == "U"):
+        val = self.peek()[1]
+        if val in _BIN_CLS:
             self.take()
             right = self._unary()
-            k2, v2, p2 = self.peek()
-            if v2 in ("&", "|") or (k2 == "op" and v2 == "U"):
+            _, v2, p2 = self.peek()
+            if v2 in _BIN_CLS:
                 raise LtlParseError(
                     "chained binary operators need explicit parentheses", p2
                 )
@@ -271,9 +251,9 @@ def _first_until(f: LtlFormula) -> Until | None:
     """The first until subterm of f in pre-order, or None."""
     if isinstance(f, Until):
         return f
-    if isinstance(f, (And, Or)):
+    if isinstance(f, _Binary):
         return _first_until(f.left) or _first_until(f.right)
-    if isinstance(f, (Next, Finally, Globally)):
+    if isinstance(f, _Unary):
         return _first_until(f.child)
     return None
 
@@ -291,23 +271,18 @@ def parse_ltl(text: str) -> LtlFormula:
         raise LtlParseError("formula nested too deeply") from None
 
 
-_BIN_SYM = {And: "&", Or: "|", Until: "U"}
-_UN_SYM = {Next: "X", Finally: "F", Globally: "G"}
-
-
 def print_ltl(f: LtlFormula) -> str:
     if isinstance(f, Lit):
         return f.name if f.positive else f"!{f.name}"
-    if isinstance(f, (Next, Finally, Globally)):
-        return f"{_UN_SYM[type(f)]}({_bare(f.child)})"
-    sym = _BIN_SYM[type(f)]
-    return f"({print_ltl(f.left)} {sym} {print_ltl(f.right)})"
+    if isinstance(f, _Unary):
+        return f"{f.symbol}({_bare(f.child)})"
+    return f"({print_ltl(f.left)} {f.symbol} {print_ltl(f.right)})"
 
 
 def _bare(f: LtlFormula) -> str:
     # Parentheses of a unary operator already delimit a binary child.
-    if isinstance(f, (And, Or, Until)):
-        return f"{print_ltl(f.left)} {_BIN_SYM[type(f)]} {print_ltl(f.right)}"
+    if isinstance(f, _Binary):
+        return f"{print_ltl(f.left)} {f.symbol} {print_ltl(f.right)}"
     return print_ltl(f)
 
 
@@ -344,7 +319,7 @@ def canonicalize(f: LtlFormula) -> LtlFormula:
     """
     if isinstance(f, Lit):
         return f
-    if isinstance(f, (Next, Finally, Globally)):
+    if isinstance(f, _Unary):
         return type(f)(canonicalize(f.child))
     if isinstance(f, Until):
         return Until(canonicalize(f.left), canonicalize(f.right))
@@ -359,7 +334,7 @@ def nnf_dual(f: LtlFormula) -> LtlFormula | None:
     canonical), or None when it leaves the grammar (U)."""
     if isinstance(f, Lit):
         return Lit(f.name, not f.positive)
-    if isinstance(f, (Next, Finally, Globally)):
+    if isinstance(f, _Unary):
         inner = nnf_dual(f.child)
         return None if inner is None else _DUAL[type(f)](inner)
     if isinstance(f, (And, Or)):

@@ -2,14 +2,15 @@
 
 The random chains use transition masses that are multiples of 1/64, so
 row sums are exactly 1.0 in floating point and validation never trips on
-generator dust.  The oracles compose only graph passes and single linear
-solves (until_prob / next_prob / BSCC characterizations); none of them
-touch the prophecy-refinement path they are used to judge.  The library
-never needs them, so they live here: next_prob, until_prob, gf_oracle,
-fg_oracle, the bottom-SCC search bsccs they rest on, and dense_matrix,
-the chain's transition matrix as a numpy array.  dense_solve is the
-plain dense Gaussian elimination that engine.solve_linear must match
-bit for bit.
+generator dust.  The oracles share no code with the library's engine:
+next_prob and until_prob work on dense_matrix, the chain's transition
+matrix as a numpy array, with graph sets found as fixpoints over its
+nonzero pattern and one numpy.linalg.solve; gf_oracle and fg_oracle
+reduce to until_prob through the bottom-SCC search bsccs; xx_prob and
+seq_prob compose them.  None of them touch the prophecy-refinement path
+they are used to judge, and the library never needs them.  dense_solve
+is the plain dense Gaussian elimination that engine.solve_linear must
+match bit for bit.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import random
 import numpy as np
 
 from pltl_learn.dtmc import Dtmc
-from pltl_learn.engine import LinearSolveError, SingularSystemError, _next_vec, _until_vec
+from pltl_learn.engine import LinearSolveError, SingularSystemError
 
 
 def dense_matrix(m: Dtmc) -> np.ndarray:
@@ -124,20 +125,56 @@ def _as_pred(m: Dtmc, pred):
     return lambda s: name in m.labels[s]
 
 
-def next_prob(m: Dtmc, pred) -> list[float]:
-    """Per-state probability that the successor satisfies pred."""
+def _true(_s: int) -> bool:
+    return True
+
+
+def _truth(m: Dtmc, pred) -> np.ndarray:
     p = _as_pred(m, pred)
-    return _next_vec(m.rows, [p(t) for t in range(m.n_states)])
+    return np.array([bool(p(s)) for s in range(m.n_states)], dtype=bool)
+
+
+def _reaches(edge: np.ndarray, target: np.ndarray, via: np.ndarray) -> np.ndarray:
+    """States with a path to target whose states before it are via-states:
+    the least fixpoint of target | (via & some edge into the set)."""
+    out = target.copy()
+    while True:
+        grown = out | (via & edge[:, out].any(axis=1))
+        if np.array_equal(grown, out):
+            return out
+        out = grown
+
+
+def next_prob(m: Dtmc, pred) -> list[float]:
+    """Per-state probability that the successor satisfies pred.
+
+    A state whose successors all satisfy pred gets exactly 1.0."""
+    P = dense_matrix(m)
+    hit = _truth(m, pred)
+    out = P @ hit
+    out[~(P[:, ~hit] > 0).any(axis=1)] = 1.0
+    return out.tolist()
 
 
 def until_prob(m: Dtmc, a, b) -> list[float]:
-    """Per-state probability of reaching a b-state along a-states."""
-    pa, pb = _as_pred(m, a), _as_pred(m, b)
-    return _until_vec(
-        m.rows,
-        [pa(s) for s in range(m.n_states)],
-        [pb(s) for s in range(m.n_states)],
-    )
+    """Per-state probability of reaching a b-state along a-states.
+
+    Two graph sets on the dense matrix, states of probability 0 and of
+    probability 1, are pinned exactly; the rest solve
+    (I - P_rest) x = P_rest,one 1 with numpy.linalg.solve.
+    """
+    P = dense_matrix(m)
+    edge = P > 0
+    hit = _truth(m, b)
+    via = _truth(m, a) & ~hit
+    some = _reaches(edge, hit, via)
+    one = ~_reaches(edge, ~some, via)
+    rest = some & ~one
+    out = one.astype(float)
+    if rest.any():
+        A = np.eye(int(rest.sum())) - P[np.ix_(rest, rest)]
+        out[rest] = np.linalg.solve(A, P[np.ix_(rest, one)].sum(axis=1))
+    return out.tolist()
 
 
 def gf_oracle(m: Dtmc, pred) -> list[float]:
@@ -152,7 +189,7 @@ def gf_oracle(m: Dtmc, pred) -> list[float]:
     for comp in bsccs(m):
         if any(p(s) for s in comp):
             good |= comp
-    return _until_vec(m.rows, [True] * m.n_states, [s in good for s in range(m.n_states)])
+    return until_prob(m, _true, lambda s: s in good)
 
 
 def fg_oracle(m: Dtmc, pred) -> list[float]:
@@ -162,7 +199,7 @@ def fg_oracle(m: Dtmc, pred) -> list[float]:
     for comp in bsccs(m):
         if all(p(s) for s in comp):
             good |= comp
-    return _until_vec(m.rows, [True] * m.n_states, [s in good for s in range(m.n_states)])
+    return until_prob(m, _true, lambda s: s in good)
 
 
 def _masses(rng: random.Random, k: int) -> list[float]:
@@ -189,10 +226,6 @@ def random_chain(rng: random.Random, max_states: int = 20, ap=("a", "b")) -> Dtm
         labels=tuple(labels),
         transitions=tuple(edges),
     )
-
-
-def _true(_s: int) -> bool:
-    return True
 
 
 def f_prob(m: Dtmc, prop: str) -> list[float]:

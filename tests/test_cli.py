@@ -181,6 +181,9 @@ def _manifest(params):
         ("learn", _manifest({"max_size": 1, "bool_limit": "3"})),
         ("learn", {**_manifest({"max_size": 1}), "ap": [[1]]}),
         ("learn", {**_manifest({"max_size": 1}), "ap": [1]}),
+        ("check", {**_ONE_STATE, "states": 10**15}),
+        ("check", "[" * 200_000),
+        ("learn", "[" * 200_000),
     ],
     ids=[
         "model-int",
@@ -203,17 +206,31 @@ def _manifest(params):
         "bool-limit-str",
         "manifest-ap-nested-list",
         "manifest-ap-int-name",
+        "states-huge",
+        "chain-nested",
+        "manifest-nested",
     ],
 )
 def test_malformed_json_exits_two(tmp_path, capsys, command, doc):
     (tmp_path / "chain.json").write_text(json.dumps(_ONE_STATE))
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    # A string is the file's raw text.
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     if command == "check":
         argv = ("check", "--model", str(path), "--formula", "F(a)")
     else:
         argv = ("learn", "--sample", str(path))
     rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_prism_state_count_above_transitions_exits_two(tmp_path, capsys):
+    # Rejected before one label set per declared state is built.
+    (tmp_path / "m.tra").write_text("1000000000000000 1\n0 0 1.0\n")
+    (tmp_path / "m.lab").write_text('0="init"\n0: 0\n')
+    rc, _, err = run(capsys, "check", "--model", str(tmp_path / "m.tra"), "--formula", "F(a)")
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err

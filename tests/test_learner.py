@@ -490,9 +490,6 @@ def test_make_scored_sigma_and_bits():
 # ---------------------------------------------------------------------------
 # Boolean combinations
 
-_TINY_SAMPLE = Sample.build([RETRY], [reach_chain(0.3)])
-
-
 def _cand(text, count, pos_bits, neg_bits, threshold=0.5):
     body = parse_ltl(text)
     return ScoredCandidate(
@@ -507,9 +504,7 @@ def _cand(text, count, pos_bits, neg_bits, threshold=0.5):
 
 def _fresh_run(budget, bool_limit=10):
     cfg = LearnConfig(max_size=budget, max_depth=2, bool_limit=bool_limit)
-    return _Run(
-        sample=_TINY_SAMPLE, config=cfg, stats=RunStats(), budget=budget
-    )
+    return _Run(config=cfg, stats=RunStats(), budget=budget)
 
 
 def test_bsc_finds_complementary_conjunction():
@@ -564,6 +559,14 @@ def test_bsc_rejects_inconsistent_pairs():
     run = _fresh_run(5)
     bsc([fa, fb], run)
     assert run.best is None
+
+
+def test_learn_pools_no_atom_that_classifies_alone():
+    # F(a) classifies both chains with a margin below delta; pooled, it
+    # would pass as (P>r [F(a)] | P>r [F(a)]) or paired with X(a).
+    sample = reach_sample(pos=(0.5,), neg=(0.46875,))
+    with pytest.raises(NoSolutionError):
+        learn(sample, LearnConfig(max_size=5, max_depth=1))
 
 
 def test_bsc_score_order_prefers_small_high_count():
