@@ -9,16 +9,24 @@ The digest covers repr() of every per-state vector, so two trees that
 print the same digest compute bit-identical vectors.  One chain lacks
 the proposition c, so bodies naming it read c as false everywhere.
 
+The bodies are also scored, in the same order with one log, on the
+disjoint union of the chains projected onto a, b, c, as pts scores a
+sample.  The script exits 1 if any part's vector differs from its
+chain's own vector, or if the union and the chains disagree on which
+bodies fail to solve.
+
 Run it on two trees and compare the printed digests:
 
     PYTHONPATH=src python3 scripts/engine_digest.py
 """
 import hashlib
 import random
+import sys
 
-from pltl_learn.dtmc import Dtmc
+from pltl_learn.dtmc import Dtmc, disjoint_union, project
 from pltl_learn.engine import LinearSolveError, check_ltl, temporal_subformulas
 from pltl_learn.learner import gbe_init, gbe_step, size_bucket
+from pltl_learn.ltl import print_ltl
 
 AP = ("a", "b", "c")
 MAX_SIZE = 5
@@ -49,20 +57,51 @@ def bodies() -> list:
     return sorted(out, key=lambda f: tuple(psi.hash64 for psi in temporal_subformulas(f)))
 
 
-def main() -> None:
+def union_mismatches(fs, ms, alone) -> list[str]:
+    """Bodies whose vectors on the union differ from the chains' own;
+    alone[k][j] is repr() of chain k's vector for body j, or None if
+    its solve failed."""
+    union = disjoint_union([project(m, AP) for m in ms])
+    ends = [*union.parts[1:], union.n_states]
+    log: list = []
+    bad = []
+    for j, f in enumerate(fs):
+        expect = [own[j] for own in alone]
+        try:
+            values = check_ltl(union, f, log).values
+        except LinearSolveError:
+            if None not in expect:
+                bad.append(print_ltl(f))
+            continue
+        if [repr(values[lo:hi]) for lo, hi in zip(union.parts, ends)] != expect:
+            bad.append(print_ltl(f))
+    return bad
+
+
+def main() -> int:
     fs = bodies()
+    ms = [random_chain(seed, n, ap) for seed, n, ap in CHAINS]
     h = hashlib.sha256()
-    for seed, n, ap in CHAINS:
-        m = random_chain(seed, n, ap)
+    alone = []
+    for m in ms:
         log: list = []
+        own = []
         for f in fs:
             try:
                 got = repr(check_ltl(m, f, log).values)
+                own.append(got)
             except LinearSolveError as err:
                 got = f"{type(err).__name__}: {err}"
+                own.append(None)
             h.update(got.encode() + b"\n")
+        alone.append(own)
     print(f"{h.hexdigest()}  {len(fs)} bodies x {len(CHAINS)} chains")
+    bad = union_mismatches(fs, ms, alone)
+    if bad:
+        print(f"union vectors differ on {len(bad)} bodies, first {bad[0]}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

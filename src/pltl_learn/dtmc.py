@@ -7,6 +7,7 @@ proposition names.  Transition structure is kept as a flat edge list
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,7 @@ __all__ = [
     "dtmc_to_json",
     "dtmc_to_prism",
     "project",
+    "disjoint_union",
     "induced_dtmc",
 ]
 
@@ -37,8 +39,12 @@ class Dtmc:
 
     ``transitions`` is a tuple of (src, dst, prob) triples with positive
     probabilities; every state needs an outgoing distribution summing to
-    one.  Construction raises DtmcError naming every problem that
-    ``validate`` finds.
+    one.  ``parts`` holds the first state of each part.  A chain built by
+    ``disjoint_union`` has one part per chain it joins: part k runs from
+    state ``parts[k]`` up to the next part's first state, and no
+    transition leaves its part.  An ordinary chain is one part, ``(0,)``.
+    Construction raises DtmcError naming every problem that ``validate``
+    finds.
     """
 
     n_states: int
@@ -46,6 +52,7 @@ class Dtmc:
     ap: tuple[str, ...]
     labels: tuple[frozenset[str], ...]
     transitions: tuple[tuple[int, int, float], ...]
+    parts: tuple[int, ...] = (0,)
 
     def __post_init__(self):
         errs = validate(self)
@@ -77,12 +84,21 @@ def validate(m: Dtmc) -> list[str]:
         extra = lab - apset
         if extra:
             errs.append(f"state {i} labelled with unknown {sorted(extra)}")
+    parts = m.parts
+    if not parts or parts[0] != 0:
+        errs.append(f"parts must start at state 0, got {parts!r}")
+        parts = (0,)
+    elif any(not a < b for a, b in zip(parts, parts[1:])) or parts[-1] >= m.n_states:
+        errs.append(f"parts must increase strictly below {m.n_states}, got {parts!r}")
+        parts = (0,)
     sums = [0.0] * m.n_states
     seen: set[tuple[int, int]] = set()
     for s, t, p in m.transitions:
         if not (0 <= s < m.n_states and 0 <= t < m.n_states):
             errs.append(f"transition ({s},{t}) out of range")
             continue
+        if len(parts) > 1 and bisect_right(parts, s) != bisect_right(parts, t):
+            errs.append(f"transition ({s},{t}) crosses parts")
         if not p > 0.0:
             errs.append(f"transition ({s},{t}) has non-positive probability {p}")
         if (s, t) in seen:
@@ -131,7 +147,8 @@ class Sample:
 
 
 def project(m: Dtmc, ap: tuple[str, ...]) -> Dtmc:
-    """Restrict the chain's labelling to the given alphabet."""
+    """Restrict the chain's labelling to the given alphabet; the parts
+    stay as they are."""
     keep = set(ap)
     return Dtmc(
         n_states=m.n_states,
@@ -139,6 +156,41 @@ def project(m: Dtmc, ap: tuple[str, ...]) -> Dtmc:
         ap=tuple(ap),
         labels=tuple(frozenset(lab & keep) for lab in m.labels),
         transitions=m.transitions,
+        parts=m.parts,
+    )
+
+
+def disjoint_union(chains) -> Dtmc:
+    """The chains side by side as one chain, one part each, in order.
+
+    Every chain needs the same alphabet.  A chain's states are shifted
+    by the states of the chains before it; its own parts stay parts of
+    the union.  The union starts in the first chain's initial state.  A
+    single chain is returned unchanged.
+    """
+    chains = list(chains)
+    if not chains:
+        raise DtmcError("a disjoint union needs at least one chain")
+    if len(chains) == 1:
+        return chains[0]
+    ap = chains[0].ap
+    labels: list[frozenset[str]] = []
+    edges: list[tuple[int, int, float]] = []
+    parts: list[int] = []
+    for m in chains:
+        if m.ap != ap:
+            raise DtmcError(f"alphabets differ: {list(ap)} and {list(m.ap)}")
+        base = len(labels)
+        parts.extend(base + k for k in m.parts)
+        labels.extend(m.labels)
+        edges.extend((base + s, base + t, p) for s, t, p in m.transitions)
+    return Dtmc(
+        n_states=len(labels),
+        init=chains[0].init,
+        ap=ap,
+        labels=tuple(labels),
+        transitions=tuple(edges),
+        parts=tuple(parts),
     )
 
 

@@ -15,7 +15,9 @@ are built only when they are first read, that is when a later round
 refines that chain again; the last round of a body never needs them.  A
 caller scoring many bodies on one chain can pass the same refinement log
 to every call, so the rounds a body shares with the previous one are not
-refined again.
+refined again.  A chain of several parts (``dtmc.disjoint_union``) is
+scored in one call: each part gets its own linear system, the one its
+chain alone would get, so each part's values are those of that chain.
 
 Graph preprocessing pins impossible states to exactly 0.0 and almost-sure
 states to exactly 1.0, so downstream exact-equality tests on degenerate
@@ -23,6 +25,7 @@ values are reliable.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -127,10 +130,14 @@ def _reach_back(preds, start: list[bool], through: list[bool]) -> list[bool]:
     return seen
 
 
-def _until_vec(rows, a: list[bool], b: list[bool]) -> list[float]:
+def _until_vec(rows, parts, a: list[bool], b: list[bool]) -> list[float]:
     """Per-state probability of a U b: graph passes pin the states of
     probability 0 and 1 (Baier & Katoen, Principles of Model Checking,
-    section 10.1), one linear solve gives the rest."""
+    section 10.1), one linear solve per part gives the rest.
+
+    parts holds the first state of each part; no transition leaves its
+    part, so each part's system is the one its chain alone gives.
+    """
     n = len(rows)
     preds: list[list[int]] = [[] for _ in range(n)]
     for s, row in enumerate(rows):
@@ -144,19 +151,26 @@ def _until_vec(rows, a: list[bool], b: list[bool]) -> list[float]:
 
     out = [1.0 if x and not y else 0.0 for x, y in zip(reach, unsafe)]
     maybe = [i for i in range(n) if reach[i] and unsafe[i]]
-    if maybe:
-        pos = {s: j for j, s in enumerate(maybe)}
-        k = len(maybe)
+    # A part's states are one contiguous run, so its maybe-states are
+    # too: the part's run ends below the next part's first state.
+    lo = 0
+    for end in (*parts[1:], n):
+        hi = bisect_left(maybe, end, lo)
+        run, lo = maybe[lo:hi], hi
+        if not run:
+            continue
+        pos = {s: j for j, s in enumerate(run)}
+        k = len(run)
         A = np.eye(k)
         c = np.zeros(k)
-        for j, s in enumerate(maybe):
+        for j, s in enumerate(run):
             for t, q in rows[s]:
                 if t in pos:
                     A[j, pos[t]] -= q
                 elif reach[t] and not unsafe[t]:
                     c[j] += q
         x = np.fmin(1.0, np.fmax(0.0, solve_linear(A, c)))
-        for s, v in zip(maybe, x.tolist()):
+        for s, v in zip(run, x.tolist()):
             out[s] = v
     return out
 
@@ -177,13 +191,16 @@ class RefinedChain:
     temporal subformula, and ``columns`` maps each name or subformula
     node to its column.  ``rows`` are conditioned transitions and each
     row sums to one; ``build_rows`` makes them on first read, which only
-    a later round that refines this chain further does.
+    a later round that refines this chain further does.  Copies stay in
+    origin order, so the copies of each part of the original chain form
+    one contiguous run; ``parts`` holds the first copy of each part.
     """
 
     origin: np.ndarray
     weights: np.ndarray
     labels: np.ndarray
     columns: dict[str | LtlFormula, int]
+    parts: tuple[int, ...]
     build_rows: Callable[[], list[list[tuple[int, float]]]]
 
     @cached_property
@@ -207,6 +224,7 @@ def initial_refinement(m: Dtmc) -> RefinedChain:
         weights=np.ones(n),
         labels=labels.reshape(n, len(m.ap)),
         columns={a: j for j, a in enumerate(m.ap)},
+        parts=m.parts,
         build_rows=lambda: [list(row) for row in m.rows],
     )
 
@@ -276,8 +294,9 @@ def _prophecy_vector(r: RefinedChain, psi: LtlFormula) -> list[float]:
         return _next_vec(r.rows, b)
     if isinstance(psi, Globally):
         # G phi holds unless the run reaches a !phi state.
-        return [1.0 - v for v in _until_vec(r.rows, [True] * len(a), [not x for x in a])]
-    return _until_vec(r.rows, a, b)
+        reach_bad = _until_vec(r.rows, r.parts, [True] * len(a), [not x for x in a])
+        return [1.0 - v for v in reach_bad]
+    return _until_vec(r.rows, r.parts, a, b)
 
 
 def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -> RefinedChain:
@@ -296,6 +315,7 @@ def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -
     p = np.fmin(1.0, np.fmax(0.0, np.asarray(p, dtype=float)))
     factor = np.array((p, 1.0 - p)).T
     # Copies in order of parent, positive copy first; side 0 is positive.
+    # Parents stay in order, so copies stay in origin order.
     parent, side = np.nonzero(factor >= _BRANCH_EPS)
 
     def build_rows() -> list[list[tuple[int, float]]]:
@@ -332,6 +352,7 @@ def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -
         weights=r.weights[parent] * factor[parent, side],
         labels=np.concatenate((r.labels[parent], (side == 0)[:, None]), axis=1),
         columns={**r.columns, psi: r.labels.shape[1]},
+        parts=(0, *(bisect_left(parent, start) for start in r.parts[1:])),
         build_rows=build_rows,
     )
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .dtmc import Dtmc, Sample
+from .dtmc import Dtmc, Sample, disjoint_union
 from .engine import LinearSolveError, check_ltl, temporal_subformulas
 from .ltl import (
     And,
@@ -104,8 +105,9 @@ class RunStats:
     """Per-size search counters, phase timings, and engine-call total.
 
     engine_calls counts body x chain evaluations, one per body for each
-    chain of the sample; pts evaluates chains with equal content once,
-    so it can call check_ltl fewer times.
+    chain of the sample.  pts scores a body on every distinct chain of
+    the sample with one check_ltl call on their disjoint union, so it
+    calls check_ltl once per body unless a solve fails.
 
     For every size whose scan completed, constructed equals
     pruned_temporal + pruned_boolean + checked at that size.
@@ -310,43 +312,50 @@ def pts(
     reported as a discard; everything else survives with its
     initial-state values.
 
-    Chains with equal content are evaluated once.  On each distinct
-    chain the bodies go through check_ltl with one shared refinement
-    log, sorted by the hashes of their temporal subformula sequences:
-    a depth-first walk of the prefix trie, so each shared prefix is
-    refined once and only one path of refined chains is alive at a
-    time.  The scan itself then runs in the given order over
-    (init, all 0, all 1) summaries, so results, stats and the body,
-    role and index an EngineFailure names are those of a plain loop
-    over bodies, then positive and negative chains.
+    Chains with equal content are evaluated once, and the distinct ones
+    side by side: each body is one check_ltl call on their disjoint
+    union, whose parts take the same values as their chains alone.  The
+    bodies go through check_ltl with one shared refinement log, sorted
+    by the hashes of their temporal subformula sequences: a depth-first
+    walk of the prefix trie, so each shared prefix is refined once and
+    only one path of refined chains is alive at a time.  The scan itself
+    then runs in the given order over each chain's (init, all 0, all 1)
+    summary, read from that chain's slice of the union's values.  When
+    the union's solve fails, the body is scored again on each distinct
+    chain alone, so results, stats and the body, role and index an
+    EngineFailure names are those of a plain loop over bodies, then
+    positive and negative chains.
     """
     formulas = list(formulas)
     chains = [("positive", i, m) for i, m in enumerate(sample.positive)]
     chains += [("negative", i, m) for i, m in enumerate(sample.negative)]
     slots: dict[Dtmc, int] = {}
     slot_of = [slots.setdefault(m, len(slots)) for _, _, m in chains]
+    distinct = list(slots)
+    union = disjoint_union(distinct)
+    # distinct[slot] is states starts[slot] up to starts[slot + 1] of union.
+    starts = list(accumulate((m.n_states for m in distinct), initial=0))
     walk = sorted(
         range(len(formulas)),
         key=lambda j: tuple(psi.hash64 for psi in temporal_subformulas(formulas[j])),
     )
     # scores[slot][j]: (init, all values == 0.0, all values == 1.0), or
     # the solver error, of body j on that chain.
-    scores: list[list] = []
-    for m in slots:
-        log: list = []
-        row: list = [None] * len(formulas)
-        for j in walk:
-            try:
-                v = check_ltl(m, formulas[j], log)
-            except LinearSolveError as err:
-                row[j] = err
-                continue
-            row[j] = (
-                v.init,
-                all(x == 0.0 for x in v.values),
-                all(x == 1.0 for x in v.values),
-            )
-        scores.append(row)
+    scores: list[list] = [[None] * len(formulas) for _ in distinct]
+    log: list = []
+    for j in walk:
+        try:
+            v = check_ltl(union, formulas[j], log).values
+        except LinearSolveError:
+            # Find the failing chains by scoring each alone.
+            for slot, m in enumerate(distinct):
+                try:
+                    scores[slot][j] = _summary(check_ltl(m, formulas[j]).values, 0, m)
+                except LinearSolveError as err:
+                    scores[slot][j] = err
+            continue
+        for slot, m in enumerate(distinct):
+            scores[slot][j] = _summary(v, starts[slot], m)
 
     n_pos = len(sample.positive)
     consistent: list[tuple[PltlAtom, float]] = []
@@ -380,6 +389,12 @@ def pts(
         winners = tuple((a, m) for a, m in consistent if m == top)
         return PtsResult(True, winners, tuple(consistent), (), ())
     return PtsResult(False, (), (), tuple(discards), tuple(kept))
+
+
+def _summary(values: tuple[float, ...], start: int, m: Dtmc) -> tuple[float, bool, bool]:
+    """(init, all 0, all 1) of chain m, whose values start at values[start]."""
+    own = values[start : start + m.n_states]
+    return values[start + m.init], all(x == 0.0 for x in own), all(x == 1.0 for x in own)
 
 
 def best_threshold(pos, neg) -> tuple[float, int]:

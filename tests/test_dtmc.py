@@ -11,6 +11,7 @@ from pltl_learn.dtmc import (
     Mdp,
     Sample,
     dtmc_to_json,
+    disjoint_union,
     dtmc_to_prism,
     induced_dtmc,
     parse_json_dtmc,
@@ -303,6 +304,73 @@ def test_project_drops_foreign_labels():
     assert p.ap == ("a",)
     assert p.labels == (frozenset(), frozenset({"a"}))
     assert p.transitions == m.transitions
+    assert p.parts == (0,)
+
+
+# ---------------------------------------------------------------------------
+# Parts and disjoint unions
+
+
+def test_chain_is_one_part_by_default():
+    assert _chain().parts == (0,)
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ((), "start at state 0"),
+        ((1,), "start at state 0"),
+        ((0, 0), "increase strictly"),
+        ((0, 2, 1), "increase strictly"),
+        ((0, 4), "increase strictly below 4"),
+    ],
+)
+def test_bad_parts_rejected(parts, message):
+    edges = ((0, 0, 1.0), (1, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0))
+    with pytest.raises(DtmcError, match=message):
+        _chain(n_states=4, labels=(frozenset(),) * 4, transitions=edges, parts=parts)
+
+
+def test_edge_across_parts_rejected():
+    edges = ((0, 0, 1.0), (1, 2, 1.0), (2, 2, 1.0))
+    with pytest.raises(DtmcError, match=r"transition \(1,2\) crosses parts"):
+        _chain(n_states=3, labels=(frozenset(),) * 3, transitions=edges, parts=(0, 2))
+    # one part holds any edge
+    assert _chain(n_states=3, labels=(frozenset(),) * 3, transitions=edges).parts == (0,)
+
+
+def test_disjoint_union_shifts_each_chain():
+    left = _chain(init=1)
+    right = _chain(
+        n_states=3,
+        labels=(frozenset({"a"}), frozenset(), frozenset()),
+        transitions=((0, 2, 0.5), (0, 1, 0.5), (1, 1, 1.0), (2, 0, 1.0)),
+    )
+    u = disjoint_union([left, right, left])
+    assert u.parts == (0, 2, 5)
+    assert (u.n_states, u.init, u.ap) == (7, 1, ("a",))
+    assert u.labels == left.labels + right.labels + left.labels
+    assert u.transitions == (
+        (0, 1, 1.0), (1, 1, 1.0),
+        (2, 4, 0.5), (2, 3, 0.5), (3, 3, 1.0), (4, 2, 1.0),
+        (5, 6, 1.0), (6, 6, 1.0),
+    )
+    # a union's parts stay parts, and projection keeps them
+    assert disjoint_union([u, left]).parts == (0, 2, 5, 7)
+    assert project(u, ("a", "b")).parts == u.parts
+
+
+def test_disjoint_union_of_one_chain_is_that_chain():
+    m = _chain()
+    assert disjoint_union([m]) is m
+
+
+def test_disjoint_union_needs_equal_alphabets():
+    other = _chain(ap=("a", "b"))
+    with pytest.raises(DtmcError, match="alphabets differ"):
+        disjoint_union([_chain(), other])
+    with pytest.raises(DtmcError, match="at least one chain"):
+        disjoint_union([])
 
 
 def test_sample_build_unions_alphabets():

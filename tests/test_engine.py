@@ -6,7 +6,7 @@ import pytest
 import chains
 from chains import fg_oracle, gf_oracle, next_prob, until_prob
 from pltl_learn import engine, learner
-from pltl_learn.dtmc import Dtmc, Sample, parse_json_dtmc
+from pltl_learn.dtmc import Dtmc, Sample, disjoint_union, parse_json_dtmc
 from pltl_learn.engine import (
     LinearSolveError,
     ProbVector,
@@ -538,3 +538,77 @@ def test_prob_vector_is_frozen():
     v = ProbVector((0.5,), 0.5)
     with pytest.raises(AttributeError):
         v.init = 0.25
+
+
+# ---------------------------------------------------------------------------
+# Disjoint unions
+
+
+def _bodies_in_trie_order(ap, max_size):
+    state = gbe_init(ap, max_depth=2)
+    bodies = size_bucket(state, 1)
+    for n in range(2, max_size + 1):
+        gbe_step(state, n)
+        bodies += size_bucket(state, n)
+    return sorted(bodies, key=lambda f: tuple(psi.hash64 for psi in temporal_subformulas(f)))
+
+
+@pytest.mark.parametrize("seed", [1, 3, 8])
+def test_union_parts_match_each_chain_alone_bit_for_bit(seed, monkeypatch):
+    rng = random.Random(seed)
+    # Chains of different sizes, two equal ones, and one without b that
+    # projection extends with an all-false b column.
+    first = chains.random_chain(rng, max_states=4)
+    others = [chains.random_chain(rng, max_states=9) for _ in range(rng.randint(0, 1))]
+    lacking = chains.random_chain(rng, max_states=6, ap=("a",))
+    sample = Sample.build([first, *others], [lacking, first], ap=["a", "b"])
+    ms = [*sample.positive, *sample.negative]
+    assert 3 <= len(ms) <= 4 and ms[0] == ms[-1]
+    assert len({m.n_states for m in ms}) > 1
+    union = disjoint_union(ms)
+    starts = [0]
+    for m in ms:
+        starts.append(starts[-1] + m.n_states)
+    assert union.parts == tuple(starts[:-1])
+    bodies = _bodies_in_trie_order(("a", "b"), 4)
+    solves = []
+    original = engine.solve_linear
+    monkeypatch.setattr(engine, "solve_linear", lambda A, c: solves.append(1) or original(A, c))
+    log: list = []
+    on_union = [check_ltl(union, f, log) for f in bodies]
+    # one system per part, as many as the chains solve alone in the same walk
+    union_solves = len(solves)
+    for m in ms:
+        log = []
+        for f in bodies:
+            check_ltl(m, f, log)
+    assert union_solves == len(solves) - union_solves > 0
+    for f, got in zip(bodies, on_union):
+        assert got.init == got.values[ms[0].init]
+        for m, lo, hi in zip(ms, starts, starts[1:]):
+            assert got.values[lo:hi] == check_ltl(m, f).values, print_ltl(f)
+
+
+def test_union_solves_each_part_alone_in_the_same_round(monkeypatch):
+    # F(a) leaves state 0 undecided on both chains, so the one round of
+    # the union solves two systems, each the one its chain solves alone.
+    left = _mk(3, 0, [(), ("a",), ()], [(0, 1, 0.3), (0, 2, 0.7), (1, 1, 1.0), (2, 2, 1.0)])
+    right = _mk(
+        3, 0, [(), ("a",), ()], [(0, 0, 0.25), (0, 1, 0.25), (0, 2, 0.5), (1, 1, 1.0), (2, 2, 1.0)]
+    )
+    systems = []
+    original = engine.solve_linear
+
+    def recording(A, c):
+        systems.append((A.tolist(), c.tolist()))
+        return original(A, c)
+
+    monkeypatch.setattr(engine, "solve_linear", recording)
+    f = parse_ltl("F(a)")
+    alone = [check_ltl(m, f).values for m in (left, right)]
+    alone_systems = list(systems)
+    systems.clear()
+    got = check_ltl(disjoint_union([left, right]), f)
+    assert len(alone_systems) == 2
+    assert systems == alone_systems
+    assert got.values == alone[0] + alone[1]

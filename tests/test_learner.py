@@ -15,7 +15,7 @@ from pltl_learn.benchgen import (
     safety_sample,
     until_sample,
 )
-from pltl_learn.dtmc import Dtmc, Sample
+from pltl_learn.dtmc import Dtmc, Sample, disjoint_union
 from pltl_learn.engine import LinearSolveError, check_ltl, temporal_subformulas
 from pltl_learn.learner import (
     EngineFailure,
@@ -422,7 +422,9 @@ def test_pts_engine_failure_keeps_scan_order_with_shared_chains(monkeypatch):
     assert sorted(bodies, key=lambda f: f.hash64) == bodies[::-1]
 
     def failing(m, f, refinement_log=None):
-        if (m == b and f == bodies[1]) or (m == a and f == bodies[2]):
+        # X(a) fails on b and G(a) on a, so both fail on any union of chains.
+        union = len(m.parts) > 1
+        if (f == bodies[1] and (m == b or union)) or (f == bodies[2] and (m == a or union)):
             raise LinearSolveError("forced")
         return check_ltl(m, f, refinement_log)
 
@@ -433,6 +435,34 @@ def test_pts_engine_failure_keeps_scan_order_with_shared_chains(monkeypatch):
         pts(bodies, sample, 0.05)
     assert info.value.formula == bodies[1]
     assert (info.value.role, info.value.index) == ("positive", 1)
+
+
+def test_pts_engine_failure_names_the_chain_first_in_scan_order(monkeypatch):
+    import pltl_learn.engine as engine
+
+    # With every solve failing, x fails in the F(b) round and y earlier,
+    # in the F(a) round, so the union fails on y's part first.
+    edges = [(0, 1, 0.5), (0, 2, 0.5), (1, 1, 1.0), (2, 2, 1.0)]
+    x = _mk(3, 0, [("a",), ("a", "b"), ("a",)], edges, ap=("a", "b"))
+    y = _mk(3, 0, [(), ("a",), ()], edges)
+    f = parse_ltl("(F(a) | F(b))")
+    assert [print_ltl(psi) for psi in temporal_subformulas(f)] == ["F(a)", "F(b)"]
+
+    def failing(A, c):
+        raise LinearSolveError("forced")
+
+    monkeypatch.setattr(engine, "solve_linear", failing)
+    sample = Sample.build([x], [RETRY, y], ap=["a", "b"])
+    ms = [*sample.positive, *sample.negative]
+    for m, rounds_done in ((disjoint_union(ms), 0), (ms[0], 1), (ms[2], 0)):
+        log: list = []
+        with pytest.raises(LinearSolveError):
+            check_ltl(m, f, log)
+        assert len(log) == rounds_done
+    with pytest.raises(EngineFailure, match="positive chain 0") as info:
+        pts([f], sample, 0.05)
+    assert info.value.formula == f
+    assert (info.value.role, info.value.index) == ("positive", 0)
 
 
 # ---------------------------------------------------------------------------
