@@ -3,8 +3,8 @@
 
 Every canonical body up to size 5 over a, b, c (temporal depth at most 2)
 is scored with check_ltl on a set of seeded random chains, in the order
-pts walks them (sorted by the hashes of their temporal subformula
-sequences) and with one refinement log shared per chain, as pts does.
+pts walks them (sorted by engine.trie_key) and with one refinement log
+shared per chain, as pts does.
 The digest covers repr() of every per-state vector, so two trees that
 print the same digest compute bit-identical vectors.  One chain lacks
 the proposition c, so bodies naming it read c as false everywhere.
@@ -24,7 +24,7 @@ import random
 import sys
 
 from pltl_learn.dtmc import Dtmc, disjoint_union, project
-from pltl_learn.engine import LinearSolveError, check_ltl, temporal_subformulas
+from pltl_learn.engine import LinearSolveError, check_ltl, trie_key
 from pltl_learn.learner import gbe_init, gbe_step, size_bucket
 from pltl_learn.ltl import print_ltl
 
@@ -54,7 +54,7 @@ def bodies() -> list:
     for n in range(2, MAX_SIZE + 1):
         gbe_step(state, n)
         out += size_bucket(state, n)
-    return sorted(out, key=lambda f: tuple(psi.hash64 for psi in temporal_subformulas(f)))
+    return sorted(out, key=trie_key)
 
 
 def union_mismatches(fs, ms, alone) -> list[str]:

@@ -8,7 +8,8 @@ certifies an atom when the sides are separated by more than delta.
 """
 import argparse
 
-from pltl_learn.benchgen import safety_sample
+from pltl_learn.benchgen import safety_chain
+from pltl_learn.dtmc import Sample
 from pltl_learn.engine import check_ltl
 from pltl_learn.learner import LearnConfig, NoSolutionError, learn
 from pltl_learn.ltl import parse_ltl, print_pltl
@@ -28,7 +29,7 @@ def main() -> None:
     print(f"{'neg hazard':>12} {'G(!h) gap':>10}  result")
 
     for neg_d in (0.4375, 0.375, 0.3125, 0.25, 0.1875, 0.15625, 0.125):
-        sample = safety_sample(pos=pos, neg=(neg_d, neg_d))
+        sample = Sample.build([safety_chain(d) for d in pos], [safety_chain(neg_d)] * 2)
         lo = min(check_ltl(m, target).init for m in sample.positive)
         hi = max(check_ltl(m, target).init for m in sample.negative)
         cfg = LearnConfig(max_size=args.max_size, max_depth=2, delta=args.delta)

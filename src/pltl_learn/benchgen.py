@@ -5,12 +5,13 @@ thresholded version of it with a wide margin and the negative chains do
 not, while every syntactically smaller candidate is either constant
 across the sample or separated by less than the default margin delta.
 
-Generators are deterministic.  seed=0 keeps the documented default
-parameters; other seeds pick from small menus of alternative dyadic
-parameters that preserve the planted formula's consistency, so a fixed
-seed always reproduces byte-identical files.  Dyadic probabilities keep
-the interesting satisfaction values exact, and flat where flatness is
-needed.
+Generators are deterministic.  The samplers take only a seed: seed=0
+keeps the documented default parameters; other seeds pick from small
+menus of alternative dyadic parameters that preserve the planted
+formula's consistency, so a fixed seed always reproduces byte-identical
+files.  Dyadic probabilities keep the interesting satisfaction values
+exact, and flat where flatness is needed.  Other variants are built
+with Sample.build over the chain builders, as the samplers do.
 """
 from __future__ import annotations
 
@@ -37,8 +38,22 @@ __all__ = [
 ]
 
 
-def reach_chain(p: float, prop: str = "a") -> Dtmc:
-    """Hit a prop-state with probability exactly p, else get stuck."""
+def _variant(seed: int, *menus) -> list[tuple]:
+    """One tuple per (default, choices) menu, in menu order.
+
+    Seed 0 returns each default.  Any other seed draws len(default)
+    distinct entries of each menu's choices from one Random(seed); a
+    one-entry draw takes the one randbelow(len(choices)) that
+    rng.choice(choices) takes.
+    """
+    if seed == 0:
+        return [default for default, _ in menus]
+    rng = random.Random(seed)
+    return [tuple(rng.sample(choices, len(default))) for default, choices in menus]
+
+
+def reach_chain(p: float) -> Dtmc:
+    """Hit an a-state with probability exactly p, else get stuck."""
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     edges = [(1, 1, 1.0), (2, 2, 1.0)]
@@ -48,68 +63,52 @@ def reach_chain(p: float, prop: str = "a") -> Dtmc:
     return Dtmc(
         n_states=3,
         init=0,
-        ap=(prop,),
-        labels=(frozenset(), frozenset({prop}), frozenset()),
+        ap=("a",),
+        labels=(frozenset(), frozenset({"a"}), frozenset()),
         transitions=tuple(sorted(edges)),
     )
 
 
-def reach_sample(pos=None, neg=None, seed: int = 0) -> Sample:
-    if pos is None or neg is None:
-        rng = random.Random(seed)
-        if pos is None:
-            pos = (1.0,) if seed == 0 else (rng.choice((1.0, 0.96875, 0.9375)),)
-        if neg is None:
-            neg = (0.3,) if seed == 0 else (rng.choice((0.25, 0.28125, 0.3125, 0.34375)),)
+def reach_sample(seed: int = 0) -> Sample:
+    """Planted target: eventually a, F(a); one chain per side."""
+    pos, neg = _variant(
+        seed, ((1.0,), (1.0, 0.96875, 0.9375)), ((0.3,), (0.25, 0.28125, 0.3125, 0.34375))
+    )
     return Sample.build([reach_chain(p) for p in pos], [reach_chain(p) for p in neg])
 
 
-def safety_chain(d: float, prop: str = "h", steps: int = 2) -> Dtmc:
-    """Walk a corridor with per-step hazard probability d.
+def safety_chain(d: float) -> Dtmc:
+    """Walk a two-step corridor with per-step hazard probability d.
 
-    The run survives all steps with probability (1-d)**steps and then
-    loops in an unlabelled safe state; hitting the hazard is absorbing.
+    The run survives both steps with probability (1-d)**2 and then loops
+    in the unlabelled safe state 2; the hazard, state 3 labelled h, is
+    absorbing.
     """
     if not 0.0 < d < 1.0:
         raise ValueError("d must lie in (0, 1)")
-    safe, hazard = steps, steps + 1
-    edges = []
-    for i in range(steps):
-        edges.append((i, hazard, d))
-        edges.append((i, i + 1, 1.0 - d))
-    edges.append((safe, safe, 1.0))
-    edges.append((hazard, hazard, 1.0))
-    labels = [frozenset()] * (steps + 1) + [frozenset({prop})]
     return Dtmc(
-        n_states=steps + 2,
+        n_states=4,
         init=0,
-        ap=(prop,),
-        labels=tuple(labels),
-        transitions=tuple(sorted(edges)),
+        ap=("h",),
+        labels=(frozenset(), frozenset(), frozenset(), frozenset({"h"})),
+        transitions=(
+            (0, 1, 1.0 - d), (0, 3, d), (1, 2, 1.0 - d), (1, 3, d), (2, 2, 1.0), (3, 3, 1.0),
+        ),
     )
 
 
-def safety_sample(pos=None, neg=None, seed: int = 0) -> Sample:
+def safety_sample(seed: int = 0) -> Sample:
     """Planted target: always avoid the hazard, G(!h).
 
     Hazard rates are dyadic so satisfaction values are exact; positives
     stay below 1/8 per step and negatives at or above 3/8, leaving G(!h)
     a wide margin for any menu choice.
     """
-    if pos is None or neg is None:
-        rng = random.Random(seed)
-        if pos is None:
-            pos = (
-                (0.0625, 0.09375)
-                if seed == 0
-                else tuple(rng.sample((0.0625, 0.078125, 0.09375, 0.109375), 2))
-            )
-        if neg is None:
-            neg = (
-                (0.375, 0.4375)
-                if seed == 0
-                else tuple(rng.sample((0.375, 0.40625, 0.4375, 0.46875), 2))
-            )
+    pos, neg = _variant(
+        seed,
+        ((0.0625, 0.09375), (0.0625, 0.078125, 0.09375, 0.109375)),
+        ((0.375, 0.4375), (0.375, 0.40625, 0.4375, 0.46875)),
+    )
     return Sample.build([safety_chain(d) for d in pos], [safety_chain(d) for d in neg])
 
 
@@ -184,9 +183,7 @@ def conjunction_sample(seed: int = 0) -> Sample:
     single atom within the size budget separates the sides; the learner
     is forced to combine F(a) and F(b).
     """
-    rng = random.Random(seed)
-    p = _CONJ_POS[0] if seed == 0 else rng.choice(_CONJ_POS)
-    n = _CONJ_NEG[0] if seed == 0 else rng.choice(_CONJ_NEG)
+    (p,), (n,) = _variant(seed, (_CONJ_POS[:1], _CONJ_POS), (_CONJ_NEG[:1], _CONJ_NEG))
     pos = [two_signal_chain(*p), two_signal_chain(*_mirror(p))]
     neg = [two_signal_chain(*n), two_signal_chain(*_mirror(n))]
     return Sample.build(pos, neg)
@@ -231,22 +228,13 @@ def until_chain(p: float) -> Dtmc:
     )
 
 
-def until_sample(pos=None, neg=None, seed: int = 0) -> Sample:
+def until_sample(seed: int = 0) -> Sample:
     """Planted target: no a until b, (!a U b)."""
-    if pos is None or neg is None:
-        rng = random.Random(seed)
-        if pos is None:
-            pos = (
-                (0.875, 0.90625)
-                if seed == 0
-                else tuple(rng.sample((0.84375, 0.875, 0.90625), 2))
-            )
-        if neg is None:
-            neg = (
-                (0.40625, 0.4375)
-                if seed == 0
-                else tuple(rng.sample((0.375, 0.40625, 0.4375), 2))
-            )
+    pos, neg = _variant(
+        seed,
+        ((0.875, 0.90625), (0.84375, 0.875, 0.90625)),
+        ((0.40625, 0.4375), (0.375, 0.40625, 0.4375)),
+    )
     return Sample.build([until_chain(p) for p in pos], [until_chain(p) for p in neg])
 
 
@@ -330,13 +318,12 @@ def gridworld_strategy(width: int, height: int, kind: str) -> dict[int, str]:
     return out
 
 
-def gridworld_sample(width: int = 3, height: int = 3, seed: int = 0) -> Sample:
-    """Timid (detouring) vs bold (trap-hugging) policies on one grid."""
-    rng = random.Random(seed)
-    slip = 1.0 / 3.0 if seed == 0 else rng.choice((0.25, 0.3125, 0.375))
-    mdp = gridworld_mdp(width, height, slip)
-    pos = [induced_dtmc(mdp, gridworld_strategy(width, height, "timid"))]
-    neg = [induced_dtmc(mdp, gridworld_strategy(width, height, "bold"))]
+def gridworld_sample(seed: int = 0) -> Sample:
+    """Timid (detouring) vs bold (trap-hugging) policies on the 3x3 grid."""
+    ((slip,),) = _variant(seed, ((1.0 / 3.0,), (0.25, 0.3125, 0.375)))
+    mdp = gridworld_mdp(3, 3, slip)
+    pos = [induced_dtmc(mdp, gridworld_strategy(3, 3, "timid"))]
+    neg = [induced_dtmc(mdp, gridworld_strategy(3, 3, "bold"))]
     return Sample.build(pos, neg)
 
 

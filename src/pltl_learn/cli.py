@@ -3,7 +3,8 @@
 Subcommands: learn a separating formula from a manifest of labelled
 chains, check one LTL formula on one chain, and benchgen to emit the
 bundled benchmark samples.  Exit codes: 0 success, 1 no formula exists
-within the search bounds, 2 bad input or usage.
+within the search bounds, 2 bad input or usage, or a linear system the
+engine cannot solve.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from pathlib import Path
 
 from . import benchgen
 from .dtmc import Dtmc, DtmcError, Sample, parse_json_dtmc, parse_prism_explicit
-from .engine import check_ltl
-from .learner import LearnConfig, NoSolutionError, learn
+from .engine import LinearSolveError, check_ltl
+from .learner import EngineFailure, LearnConfig, NoSolutionError, learn
 from .ltl import parse_ltl, print_pltl
 
 
@@ -38,25 +39,14 @@ def _load_chain(entry: dict, base: Path) -> Dtmc:
 
 
 def _print_stats(s) -> None:
+    totals = " ".join(f"{c}={s.total(c)}" for c in s.PER_SIZE)
     print(
-        f"stats: constructed={s.total('constructed')} "
-        f"pruned_temporal={s.total('pruned_temporal')} "
-        f"pruned_boolean={s.total('pruned_boolean')} "
-        f"checked={s.total('checked')} discarded={s.total('discarded')} "
-        f"pooled={s.total('pooled')} combos_tried={s.combos_tried} "
-        f"engine_calls={s.engine_calls}",
+        f"stats: {totals} combos_tried={s.combos_tried} engine_calls={s.engine_calls}",
         file=sys.stderr,
     )
     for n in s.sizes():
-        print(
-            f"stats[size {n}]: constructed={s.constructed.get(n, 0)} "
-            f"pruned_temporal={s.pruned_temporal.get(n, 0)} "
-            f"pruned_boolean={s.pruned_boolean.get(n, 0)} "
-            f"checked={s.checked.get(n, 0)} "
-            f"discarded={s.discarded.get(n, 0)} "
-            f"pooled={s.pooled.get(n, 0)}",
-            file=sys.stderr,
-        )
+        counts = " ".join(f"{c}={getattr(s, c).get(n, 0)}" for c in s.PER_SIZE)
+        print(f"stats[size {n}]: {counts}", file=sys.stderr)
     phases = " ".join(
         f"{name}={s.phase_seconds[name]:.3f}s" for name in sorted(s.phase_seconds)
     )
@@ -87,23 +77,22 @@ def _cmd_learn(args) -> int:
     if not isinstance(params, dict):
         raise DtmcError("manifest params must be an object")
 
-    def pick(flag, key, default, kind=int):
-        value = params.get(key, default) if flag is None else flag
+    if args.max_size is None and params.get("max_size") is None:
+        raise DtmcError("a size bound is required (--max-size or params.max_size)")
+    # A flag overrides params; what neither gives keeps LearnConfig's default.
+    given = {}
+    keys = (("max_size", int), ("max_depth", int), ("delta", (int, float)), ("bool_limit", int))
+    for key, kind in keys:
+        value = getattr(args, key)
+        if value is None:
+            if key not in params:
+                continue
+            value = params[key]
         if not isinstance(value, kind) or isinstance(value, bool):
             what = "an integer" if kind is int else "a number"
             raise DtmcError(f"params.{key} must be {what}, got {type(value).__name__}")
-        return value
-
-    if args.max_size is None and params.get("max_size") is None:
-        raise DtmcError("a size bound is required (--max-size or params.max_size)")
-    config = LearnConfig(
-        max_size=pick(args.max_size, "max_size", None),
-        max_depth=pick(args.max_depth, "max_depth", 2),
-        delta=float(pick(args.delta, "delta", 0.05, (int, float))),
-        bool_limit=pick(args.bool_limit, "bool_limit", 10),
-        eager_return=args.eager_return,
-        all_minimal=args.all_minimal,
-    )
+        given[key] = value
+    config = LearnConfig(**given, eager_return=args.eager_return, all_minimal=args.all_minimal)
     try:
         result = learn(sample, config)
     except NoSolutionError as e:
@@ -186,7 +175,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, LinearSolveError, EngineFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except KeyError as e:

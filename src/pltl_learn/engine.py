@@ -45,6 +45,7 @@ __all__ = [
     "initial_refinement",
     "refine",
     "temporal_subformulas",
+    "trie_key",
     "check_ltl",
 ]
 
@@ -264,6 +265,17 @@ def temporal_subformulas(f: LtlFormula) -> list[LtlFormula]:
 
     walk(f)
     return list(out)
+
+
+def trie_key(f: LtlFormula) -> tuple[int, ...]:
+    """Sort key for a depth-first walk of the prefix trie of bodies'
+    temporal_subformulas sequences.
+
+    Bodies whose sequences share a prefix sort next to each other, after
+    the body that is that prefix, so check_ltl with one shared log
+    refines each shared prefix once.
+    """
+    return tuple(psi.hash64 for psi in temporal_subformulas(f))
 
 
 def _operands(r: RefinedChain, psi: LtlFormula) -> tuple[list[bool] | None, list[bool]]:

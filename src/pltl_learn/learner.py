@@ -22,9 +22,10 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import ClassVar
 
 from .dtmc import Dtmc, Sample, disjoint_union
-from .engine import LinearSolveError, check_ltl, temporal_subformulas
+from .engine import LinearSolveError, check_ltl, trie_key
 from .ltl import (
     And,
     Finally,
@@ -113,6 +114,11 @@ class RunStats:
     pruned_temporal + pruned_boolean + checked at that size.
     """
 
+    # The per-size counters, in the order --stats prints them.
+    PER_SIZE: ClassVar[tuple[str, ...]] = (
+        "constructed", "pruned_temporal", "pruned_boolean", "checked", "discarded", "pooled",
+    )
+
     constructed: dict[int, int] = field(default_factory=dict)
     pruned_temporal: dict[int, int] = field(default_factory=dict)
     pruned_boolean: dict[int, int] = field(default_factory=dict)
@@ -134,11 +140,7 @@ class RunStats:
         self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
 
     def sizes(self) -> list[int]:
-        keys = set()
-        for counter in ("constructed", "pruned_temporal", "pruned_boolean",
-                        "checked", "discarded", "pooled"):
-            keys.update(getattr(self, counter))
-        return sorted(keys)
+        return sorted({n for counter in self.PER_SIZE for n in getattr(self, counter)})
 
 
 class EngineFailure(RuntimeError):
@@ -176,7 +178,6 @@ class SearchState:
     ap: tuple[str, ...]
     max_depth: int
     buckets: dict[int, list[list[LtlFormula]]]
-    seen: set[LtlFormula]
     stats: RunStats
 
 
@@ -189,33 +190,15 @@ def gbe_init(ap, max_depth: int = 2, stats: RunStats | None = None) -> SearchSta
         ap=ap,
         max_depth=max_depth,
         buckets={},
-        seen=set(),
         stats=stats if stats is not None else RunStats(),
     )
     layer = [[] for _ in range(max_depth + 1)]
     for name in state.ap:
         for lit in (Lit(name, True), Lit(name, False)):
             state.stats.add("constructed", 1)
-            state.seen.add(lit)
             layer[0].append(lit)
     state.buckets[1] = layer
     return state
-
-
-def _consider(state: SearchState, sink: list[LtlFormula], c: LtlFormula, operands=None):
-    state.stats.add("constructed", c.size)
-    if temporal_simplify_applies(c):
-        state.stats.add("pruned_temporal", c.size)
-        return
-    if operands is not None and boolean_simplify_applies(*operands):
-        state.stats.add("pruned_boolean", c.size)
-        return
-    if c in state.seen:
-        # Commutative / associative duplicate of an earlier candidate.
-        state.stats.add("pruned_boolean", c.size)
-        return
-    state.seen.add(c)
-    sink.append(c)
 
 
 def gbe_step(state: SearchState, n: int) -> None:
@@ -238,30 +221,49 @@ def gbe_step(state: SearchState, n: int) -> None:
     D = state.max_depth
     bk = state.buckets
     new: list[list[LtlFormula]] = [[] for _ in range(D + 1)]
+    stats = state.stats
+    # Every candidate has size n and formulas of different sizes differ,
+    # so a duplicate can only be one built earlier in this step.
+    seen: set[LtlFormula] = set()
+
+    def consider(sink: list[LtlFormula], c: LtlFormula, operands=None) -> None:
+        stats.add("constructed", c.size)
+        if temporal_simplify_applies(c):
+            stats.add("pruned_temporal", c.size)
+            return
+        if operands is not None and boolean_simplify_applies(*operands):
+            stats.add("pruned_boolean", c.size)
+            return
+        if c in seen:
+            # Commutative / associative duplicate of an earlier candidate.
+            stats.add("pruned_boolean", c.size)
+            return
+        seen.add(c)
+        sink.append(c)
 
     for d in range(D + 1):
         sink = new[d]
         if d >= 1:
             for child in bk[n - 1][d - 1]:
-                _consider(state, sink, Next(child))
-                _consider(state, sink, Finally(child))
-                _consider(state, sink, Globally(child))
+                consider(sink, Next(child))
+                consider(sink, Finally(child))
+                consider(sink, Globally(child))
         for k in range(1, n - 1):
             lhs, rhs = bk[k], bk[n - 1 - k]
             for left in lhs[d]:
                 for d2 in range(d + 1):
                     for right in rhs[d2]:
-                        _consider(state, sink, join(And, left, right), (left, right))
-                        _consider(state, sink, join(Or, left, right), (left, right))
+                        consider(sink, join(And, left, right), (left, right))
+                        consider(sink, join(Or, left, right), (left, right))
             if d >= 1:
                 for left in lhs[d - 1]:
                     for d2 in range(d):
                         for right in rhs[d2]:
-                            _consider(state, sink, Until(left, right), (left, right))
+                            consider(sink, Until(left, right), (left, right))
                 for d2 in range(d - 1):
                     for left in lhs[d2]:
                         for right in rhs[d - 1]:
-                            _consider(state, sink, Until(left, right), (left, right))
+                            consider(sink, Until(left, right), (left, right))
 
     state.buckets[n] = new
 
@@ -315,9 +317,8 @@ def pts(
     Chains with equal content are evaluated once, and the distinct ones
     side by side: each body is one check_ltl call on their disjoint
     union, whose parts take the same values as their chains alone.  The
-    bodies go through check_ltl with one shared refinement log, sorted
-    by the hashes of their temporal subformula sequences: a depth-first
-    walk of the prefix trie, so each shared prefix is refined once and
+    bodies go through check_ltl with one shared refinement log in
+    engine.trie_key order, so each shared prefix is refined once and
     only one path of refined chains is alive at a time.  The scan itself
     then runs in the given order over each chain's (init, all 0, all 1)
     summary, read from that chain's slice of the union's values.  When
@@ -335,10 +336,7 @@ def pts(
     union = disjoint_union(distinct)
     # distinct[slot] is states starts[slot] up to starts[slot + 1] of union.
     starts = list(accumulate((m.n_states for m in distinct), initial=0))
-    walk = sorted(
-        range(len(formulas)),
-        key=lambda j: tuple(psi.hash64 for psi in temporal_subformulas(formulas[j])),
-    )
+    walk = sorted(range(len(formulas)), key=lambda j: trie_key(formulas[j]))
     # scores[slot][j]: (init, all values == 0.0, all values == 1.0), or
     # the solver error, of body j on that chain.
     scores: list[list] = [[None] * len(formulas) for _ in distinct]

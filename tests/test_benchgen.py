@@ -20,6 +20,7 @@ from pltl_learn.benchgen import (
 )
 from pltl_learn.dtmc import (
     Dtmc,
+    Sample,
     induced_dtmc,
     parse_json_dtmc,
     parse_prism_explicit,
@@ -59,8 +60,6 @@ def test_safety_chain_survival_probability():
     m = safety_chain(0.0625)
     assert m.n_states == 4
     assert check_ltl(m, parse_ltl("G(!h)")).init == 0.87890625
-    longer = safety_chain(0.5, steps=3)
-    assert check_ltl(longer, parse_ltl("G(!h)")).init == 0.125
 
 
 def test_safety_chain_parameter_range():
@@ -193,7 +192,7 @@ def test_gridworld_sample_learnable_at_every_slip():
 
 
 def test_reach_sample_explicit_probabilities():
-    s = reach_sample(pos=(0.9,), neg=(0.2,))
+    s = Sample.build([reach_chain(0.9)], [reach_chain(0.2)])
     assert check_ltl(s.positive[0], parse_ltl("F(a)")).init == 0.9
     assert check_ltl(s.negative[0], parse_ltl("F(a)")).init == 0.2
 
@@ -217,7 +216,9 @@ def test_seed_zero_uses_documented_defaults():
     s = reach_sample(seed=0)
     assert check_ltl(s.positive[0], parse_ltl("F(a)")).init == 1.0
     assert check_ltl(s.negative[0], parse_ltl("F(a)")).init == 0.3
-    assert safety_sample(seed=0) == safety_sample(pos=(0.0625, 0.09375), neg=(0.375, 0.4375))
+    assert safety_sample(seed=0) == Sample.build(
+        [safety_chain(0.0625), safety_chain(0.09375)], [safety_chain(0.375), safety_chain(0.4375)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,10 @@ def _manifest(params):
         ("learn", _manifest({"max_size": 1, "delta": True})),
         ("learn", _manifest({"max_size": 1, "max_depth": 1.5})),
         ("learn", _manifest({"max_size": 1, "bool_limit": "3"})),
+        ("learn", _manifest({"max_size": None})),
+        ("learn", _manifest({"max_size": 1, "max_depth": None})),
+        ("learn", _manifest({"max_size": 1, "delta": None})),
+        ("learn", _manifest({"max_size": 1, "bool_limit": None})),
         ("learn", {**_manifest({"max_size": 1}), "ap": [[1]]}),
         ("learn", {**_manifest({"max_size": 1}), "ap": [1]}),
         ("check", {**_ONE_STATE, "states": 10**15}),
@@ -204,6 +208,10 @@ def _manifest(params):
         "delta-bool",
         "max-depth-float",
         "bool-limit-str",
+        "max-size-null",
+        "max-depth-null",
+        "delta-null",
+        "bool-limit-null",
         "manifest-ap-nested-list",
         "manifest-ap-int-name",
         "states-huge",
@@ -234,6 +242,36 @@ def test_prism_state_count_above_transitions_exits_two(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# State 0 leaves its self-loop with mass 2e-13, so its row of the linear
+# system for F(a) has no pivot above the solver's 1e-12.
+_NEAR_ABSORBING = {
+    "states": 3,
+    "init": 0,
+    "ap": ["a"],
+    "labels": {"1": ["a"]},
+    "transitions": [[0, 0, 0.9999999999998], [0, 1, 1e-13], [0, 2, 1e-13], [1, 1, 1.0], [2, 2, 1.0]],
+}
+
+
+def test_check_singular_system_exits_two(tmp_path, capsys):
+    (tmp_path / "chain.json").write_text(json.dumps(_NEAR_ABSORBING))
+    rc, out, err = run(capsys, "check", "--model", str(tmp_path / "chain.json"), "--formula", "F(a)")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: no usable pivot in column 0\n"
+
+
+def test_learn_engine_failure_exits_two(tmp_path, capsys):
+    (tmp_path / "chain.json").write_text(json.dumps(_NEAR_ABSORBING))
+    (tmp_path / "one.json").write_text(json.dumps(_ONE_STATE))
+    doc = {"positive": [_ENTRY], "negative": [{"format": "json", "path": "one.json"}]}
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "learn", "--sample", str(tmp_path / "manifest.json"), "-K", "2")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: engine failure on F(a) over positive chain 0: no usable pivot in column 0\n"
 
 
 # ---------------------------------------------------------------------------

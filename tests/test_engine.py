@@ -17,6 +17,7 @@ from pltl_learn.engine import (
     refine,
     solve_linear,
     temporal_subformulas,
+    trie_key,
 )
 from pltl_learn.learner import gbe_init, gbe_step, size_bucket
 from pltl_learn.ltl import And, Finally, Lit, LtlFormula, Next, Or, parse_ltl, print_ltl
@@ -550,7 +551,7 @@ def _bodies_in_trie_order(ap, max_size):
     for n in range(2, max_size + 1):
         gbe_step(state, n)
         bodies += size_bucket(state, n)
-    return sorted(bodies, key=lambda f: tuple(psi.hash64 for psi in temporal_subformulas(f)))
+    return sorted(bodies, key=trie_key)
 
 
 @pytest.mark.parametrize("seed", [1, 3, 8])

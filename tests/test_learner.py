@@ -594,7 +594,7 @@ def test_bsc_rejects_inconsistent_pairs():
 def test_learn_pools_no_atom_that_classifies_alone():
     # F(a) classifies both chains with a margin below delta; pooled, it
     # would pass as (P>r [F(a)] | P>r [F(a)]) or paired with X(a).
-    sample = reach_sample(pos=(0.5,), neg=(0.46875,))
+    sample = Sample.build([reach_chain(0.5)], [reach_chain(0.46875)])
     with pytest.raises(NoSolutionError):
         learn(sample, LearnConfig(max_size=5, max_depth=1))
 
