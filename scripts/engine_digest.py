@@ -5,9 +5,10 @@ Every canonical body up to size 5 over a, b, c (temporal depth at most 2)
 is scored with check_ltl on a set of seeded random chains, in the order
 pts walks them (sorted by engine.trie_key) and with one refinement log
 shared per chain, as pts does.
-The digest covers repr() of every per-state vector, so two trees that
-print the same digest compute bit-identical vectors.  One chain lacks
-the proposition c, so bodies naming it read c as false everywhere.
+The digest covers repr() of every per-state vector as a tuple of
+floats, so two trees that print the same digest compute bit-identical
+vectors.  One chain lacks the proposition c, so bodies naming it read
+c as false everywhere.
 
 The bodies are also scored, in the same order with one log, on the
 disjoint union of the chains projected onto a, b, c, as pts scores a
@@ -24,7 +25,7 @@ import random
 import sys
 
 from pltl_learn.dtmc import Dtmc, disjoint_union, project
-from pltl_learn.engine import LinearSolveError, check_ltl, trie_key
+from pltl_learn.engine import LinearSolveError, check_ltl, temporal_subformulas, trie_key
 from pltl_learn.learner import gbe_init, gbe_step, size_bucket
 from pltl_learn.ltl import print_ltl
 
@@ -54,13 +55,13 @@ def bodies() -> list:
     for n in range(2, MAX_SIZE + 1):
         gbe_step(state, n)
         out += size_bucket(state, n)
-    return sorted(out, key=trie_key)
+    return sorted(out, key=lambda f: trie_key(temporal_subformulas(f)))
 
 
 def union_mismatches(fs, ms, alone) -> list[str]:
     """Bodies whose vectors on the union differ from the chains' own;
-    alone[k][j] is repr() of chain k's vector for body j, or None if
-    its solve failed."""
+    alone[k][j] is repr() of chain k's vector for body j as a tuple, or
+    None if its solve failed."""
     union = disjoint_union([project(m, AP) for m in ms])
     ends = [*union.parts[1:], union.n_states]
     log: list = []
@@ -73,7 +74,7 @@ def union_mismatches(fs, ms, alone) -> list[str]:
             if None not in expect:
                 bad.append(print_ltl(f))
             continue
-        if [repr(values[lo:hi]) for lo, hi in zip(union.parts, ends)] != expect:
+        if [repr(tuple(values[lo:hi])) for lo, hi in zip(union.parts, ends)] != expect:
             bad.append(print_ltl(f))
     return bad
 
@@ -88,7 +89,7 @@ def main() -> int:
         own = []
         for f in fs:
             try:
-                got = repr(check_ltl(m, f, log).values)
+                got = repr(tuple(check_ltl(m, f, log).values))
                 own.append(got)
             except LinearSolveError as err:
                 got = f"{type(err).__name__}: {err}"

@@ -2,7 +2,7 @@
 
 The evaluator resolves the distinct temporal subformulas one at a time,
 children before parents.  For each it computes the per-state satisfaction
-probability with a graph pass plus one linear solve, then splits every
+probability with graph passes plus linear solves, then splits every
 state into a copy that prophesies the subformula holds on the run and a
 copy that prophesies it does not, conditioning the transition structure on
 each branch.  A refined chain keeps its labels as one boolean matrix, a
@@ -16,8 +16,15 @@ refines that chain again; the last round of a body never needs them.  A
 caller scoring many bodies on one chain can pass the same refinement log
 to every call, so the rounds a body shares with the previous one are not
 refined again.  A chain of several parts (``dtmc.disjoint_union``) is
-scored in one call: each part gets its own linear system, the one its
+scored in one call: each part gets its own linear systems, the ones its
 chain alone would get, so each part's values are those of that chain.
+A part with fewer than _SCC_MIN (64) undecided states is one dense
+system.  A larger one is split into strongly connected components,
+solved one at a time in reverse topological order (each after every
+component it reaches), so a block's right-hand side reads its solved
+successors, and the eliminations cost the sum of the blocks' cubes,
+not the cube of the part's.  The values come back as one read-only
+memoryview over a float64 array.
 
 Graph preprocessing pins impossible states to exactly 0.0 and almost-sure
 states to exactly 1.0, so downstream exact-equality tests on degenerate
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,6 +59,10 @@ __all__ = [
 # Prophecy branches with conditional probability below this are dropped;
 # the conditioned rows would otherwise divide by a vanishing factor.
 _BRANCH_EPS = 1e-12
+
+# A part with at least this many undecided states is solved SCC by SCC;
+# smaller ones are one dense system, which skips Tarjan's overhead.
+_SCC_MIN = 64
 
 
 class LinearSolveError(RuntimeError):
@@ -131,13 +142,74 @@ def _reach_back(preds, start: list[bool], through: list[bool]) -> list[bool]:
     return seen
 
 
+def _sccs(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph succ, each after every
+    component it reaches (Tarjan's algorithm, iterative, so deep chains
+    need no recursion)."""
+    k = len(succ)
+    index = [0] * k  # visiting order from 1; 0 is not yet visited
+    low = [0] * k
+    on_stack = [False] * k
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    seen = 0
+    for root in range(k):
+        if index[root]:
+            continue
+        seen += 1
+        index[root] = low[root] = seen
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]
+        while work:
+            v, i = work[-1]
+            if i < len(succ[v]):
+                work[-1] = (v, i + 1)
+                w = succ[v][i]
+                if not index[w]:
+                    seen += 1
+                    index[w] = low[w] = seen
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, 0))
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(sorted(comp))
+    return comps
+
+
+def _blocks(rows, run: list[int]) -> list[list[int]]:
+    """The run's states as blocks to solve in order: the whole run below
+    _SCC_MIN states, else its SCCs, each after every SCC it reaches."""
+    if len(run) < _SCC_MIN:
+        return [run]
+    pos = {s: j for j, s in enumerate(run)}
+    succ = [[pos[t] for t, _ in rows[s] if t in pos] for s in run]
+    return [[run[j] for j in comp] for comp in _sccs(succ)]
+
+
 def _until_vec(rows, parts, a: list[bool], b: list[bool]) -> list[float]:
     """Per-state probability of a U b: graph passes pin the states of
     probability 0 and 1 (Baier & Katoen, Principles of Model Checking,
-    section 10.1), one linear solve per part gives the rest.
+    section 10.1), linear solves give the rest.
 
     parts holds the first state of each part; no transition leaves its
-    part, so each part's system is the one its chain alone gives.
+    part, so each part's systems are the ones its chain alone gives.  A
+    part with at least _SCC_MIN undecided states is solved one SCC at a
+    time, each block after the blocks it reaches, which are then known.
     """
     n = len(rows)
     preds: list[list[int]] = [[] for _ in range(n)]
@@ -160,19 +232,22 @@ def _until_vec(rows, parts, a: list[bool], b: list[bool]) -> list[float]:
         run, lo = maybe[lo:hi], hi
         if not run:
             continue
-        pos = {s: j for j, s in enumerate(run)}
-        k = len(run)
-        A = np.eye(k)
-        c = np.zeros(k)
-        for j, s in enumerate(run):
-            for t, q in rows[s]:
-                if t in pos:
-                    A[j, pos[t]] -= q
-                elif reach[t] and not unsafe[t]:
-                    c[j] += q
-        x = np.fmin(1.0, np.fmax(0.0, solve_linear(A, c)))
-        for s, v in zip(run, x.tolist()):
-            out[s] = v
+        for block in _blocks(rows, run):
+            pos = {s: j for j, s in enumerate(block)}
+            k = len(block)
+            A = np.eye(k)
+            c = np.zeros(k)
+            for j, s in enumerate(block):
+                for t, q in rows[s]:
+                    if t in pos:
+                        A[j, pos[t]] -= q
+                    elif out[t]:
+                        # A successor outside the block is pinned or in
+                        # a block solved before this one.
+                        c[j] += q * out[t]
+            x = np.fmin(1.0, np.fmax(0.0, solve_linear(A, c)))
+            for s, v in zip(block, x.tolist()):
+                out[s] = v
     return out
 
 
@@ -211,10 +286,19 @@ class RefinedChain:
 
 @dataclass(frozen=True)
 class ProbVector:
-    """Per-state satisfaction probabilities and the initial-state value."""
+    """Per-state satisfaction probabilities and the initial-state value.
 
-    values: tuple[float, ...]
+    ``values`` is a read-only memoryview over one float64 buffer, 8 bytes
+    a state.  Indexing and iteration give Python floats, slices are
+    memoryviews, and ``==`` compares by value with another memoryview;
+    take ``tuple(values)`` to compare with a tuple, concatenate or hash.
+    """
+
+    values: memoryview
     init: float
+
+    def __repr__(self) -> str:
+        return f"ProbVector(values={tuple(self.values)!r}, init={self.init!r})"
 
 
 def initial_refinement(m: Dtmc) -> RefinedChain:
@@ -267,15 +351,15 @@ def temporal_subformulas(f: LtlFormula) -> list[LtlFormula]:
     return list(out)
 
 
-def trie_key(f: LtlFormula) -> tuple[int, ...]:
-    """Sort key for a depth-first walk of the prefix trie of bodies'
-    temporal_subformulas sequences.
+def trie_key(rounds: Sequence[LtlFormula]) -> tuple[int, ...]:
+    """Sort key, from a body's temporal_subformulas sequence, for a
+    depth-first walk of the prefix trie of bodies' sequences.
 
     Bodies whose sequences share a prefix sort next to each other, after
     the body that is that prefix, so check_ltl with one shared log
     refines each shared prefix once.
     """
-    return tuple(psi.hash64 for psi in temporal_subformulas(f))
+    return tuple(psi.hash64 for psi in rounds)
 
 
 def _operands(r: RefinedChain, psi: LtlFormula) -> tuple[list[bool] | None, list[bool]]:
@@ -373,6 +457,8 @@ def check_ltl(
     m: Dtmc,
     f: LtlFormula,
     refinement_log: list[tuple[LtlFormula, RefinedChain]] | None = None,
+    *,
+    rounds: Sequence[LtlFormula] | None = None,
 ) -> ProbVector:
     """Per-state probability that a run satisfies f, exactly up to solver
     accuracy.
@@ -385,8 +471,12 @@ def check_ltl(
     deleted, and only the remaining rounds are refined and appended.
     The result is the same as without a log, since each round depends
     only on m and the subformulas resolved before it.
+
+    A caller that already holds temporal_subformulas(f) passes it as
+    rounds, so f is not walked again; it must be that sequence.
     """
-    rounds = temporal_subformulas(f)
+    if rounds is None:
+        rounds = temporal_subformulas(f)
     log = refinement_log
     keep = 0
     if log:
@@ -401,5 +491,5 @@ def check_ltl(
     # bincount adds the weights in copy order, as a loop over copies would.
     mask = _column(r, f)
     values = np.bincount(r.origin[mask], r.weights[mask], minlength=m.n_states)
-    values = np.fmin(1.0, np.fmax(0.0, values)).tolist()
-    return ProbVector(tuple(values), values[m.init])
+    values = memoryview(np.fmin(1.0, np.fmax(0.0, values))).toreadonly()
+    return ProbVector(values, values[m.init])

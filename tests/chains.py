@@ -228,6 +228,30 @@ def random_chain(rng: random.Random, max_states: int = 20, ap=("a", "b")) -> Dtm
     )
 
 
+def sink_chain(rng: random.Random, n: int, ap=("a", "b"), sink_every: int = 16) -> Dtmc:
+    """n states, n // sink_every of them absorbing and the rest with up to
+    three random successors.  The sinks and the sparse rows leave many
+    small SCCs, so an until system over such a chain splits into many
+    blocks."""
+    labels = [frozenset(p for p in ap if rng.random() < 0.35) for _ in range(n)]
+    sinks = set(rng.sample(range(n), max(1, n // sink_every)))
+    edges = []
+    for s in range(n):
+        if s in sinks:
+            edges.append((s, s, 1.0))
+            continue
+        k = rng.randint(1, min(3, n))
+        for t, q in zip(rng.sample(range(n), k), _masses(rng, k)):
+            edges.append((s, t, q))
+    return Dtmc(
+        n_states=n,
+        init=rng.randrange(n),
+        ap=tuple(ap),
+        labels=tuple(labels),
+        transitions=tuple(edges),
+    )
+
+
 def f_prob(m: Dtmc, prop: str) -> list[float]:
     return until_prob(m, _true, prop)
 
