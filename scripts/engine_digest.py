@@ -25,7 +25,7 @@ import random
 import sys
 
 from pltl_learn.dtmc import Dtmc, disjoint_union, project
-from pltl_learn.engine import LinearSolveError, check_ltl, temporal_subformulas, trie_key
+from pltl_learn.engine import LinearSolveError, check_ltl, trie_key
 from pltl_learn.learner import gbe_init, gbe_step, size_bucket
 from pltl_learn.ltl import print_ltl
 
@@ -55,7 +55,7 @@ def bodies() -> list:
     for n in range(2, MAX_SIZE + 1):
         gbe_step(state, n)
         out += size_bucket(state, n)
-    return sorted(out, key=lambda f: trie_key(temporal_subformulas(f)))
+    return sorted(out, key=trie_key)
 
 
 def union_mismatches(fs, ms, alone) -> list[str]:

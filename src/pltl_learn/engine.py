@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -351,15 +351,15 @@ def temporal_subformulas(f: LtlFormula) -> list[LtlFormula]:
     return list(out)
 
 
-def trie_key(rounds: Sequence[LtlFormula]) -> tuple[int, ...]:
-    """Sort key, from a body's temporal_subformulas sequence, for a
-    depth-first walk of the prefix trie of bodies' sequences.
+def trie_key(f: LtlFormula) -> tuple[int, ...]:
+    """Sort key for a depth-first walk of the prefix trie of bodies'
+    temporal_subformulas sequences.
 
     Bodies whose sequences share a prefix sort next to each other, after
     the body that is that prefix, so check_ltl with one shared log
     refines each shared prefix once.
     """
-    return tuple(psi.hash64 for psi in rounds)
+    return tuple(psi.hash64 for psi in temporal_subformulas(f))
 
 
 def _operands(r: RefinedChain, psi: LtlFormula) -> tuple[list[bool] | None, list[bool]]:
@@ -457,8 +457,6 @@ def check_ltl(
     m: Dtmc,
     f: LtlFormula,
     refinement_log: list[tuple[LtlFormula, RefinedChain]] | None = None,
-    *,
-    rounds: Sequence[LtlFormula] | None = None,
 ) -> ProbVector:
     """Per-state probability that a run satisfies f, exactly up to solver
     accuracy.
@@ -471,12 +469,8 @@ def check_ltl(
     deleted, and only the remaining rounds are refined and appended.
     The result is the same as without a log, since each round depends
     only on m and the subformulas resolved before it.
-
-    A caller that already holds temporal_subformulas(f) passes it as
-    rounds, so f is not walked again; it must be that sequence.
     """
-    if rounds is None:
-        rounds = temporal_subformulas(f)
+    rounds = temporal_subformulas(f)
     log = refinement_log
     keep = 0
     if log:

@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import ClassVar
 
 from .dtmc import Dtmc, Sample, disjoint_union
-from .engine import LinearSolveError, check_ltl, temporal_subformulas, trie_key
+from .engine import LinearSolveError, check_ltl, trie_key
 from .ltl import (
     And,
     Finally,
@@ -336,22 +336,19 @@ def pts(
     union = disjoint_union(distinct)
     # distinct[slot] is states starts[slot] up to starts[slot + 1] of union.
     starts = list(accumulate((m.n_states for m in distinct), initial=0))
-    # Each body's sequence is walked once, for the sort and the engine.
-    rounds = [temporal_subformulas(f) for f in formulas]
-    walk = sorted(range(len(formulas)), key=lambda j: trie_key(rounds[j]))
+    walk = sorted(range(len(formulas)), key=lambda j: trie_key(formulas[j]))
     # scores[slot][j]: (init, all values == 0.0, all values == 1.0), or
     # the solver error, of body j on that chain.
     scores: list[list] = [[None] * len(formulas) for _ in distinct]
     log: list = []
     for j in walk:
         try:
-            v = check_ltl(union, formulas[j], log, rounds=rounds[j]).values
+            v = check_ltl(union, formulas[j], log).values
         except LinearSolveError:
             # Find the failing chains by scoring each alone.
             for slot, m in enumerate(distinct):
                 try:
-                    own = check_ltl(m, formulas[j], rounds=rounds[j]).values
-                    scores[slot][j] = _summary(own, 0, m)
+                    scores[slot][j] = _summary(check_ltl(m, formulas[j]).values, 0, m)
                 except LinearSolveError as err:
                     scores[slot][j] = err
             continue

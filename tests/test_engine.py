@@ -553,7 +553,7 @@ def _bodies_in_trie_order(ap, max_size):
     for n in range(2, max_size + 1):
         gbe_step(state, n)
         bodies += size_bucket(state, n)
-    return sorted(bodies, key=lambda f: trie_key(temporal_subformulas(f)))
+    return sorted(bodies, key=trie_key)
 
 
 @pytest.mark.parametrize("seed", [1, 3, 8])

@@ -324,7 +324,7 @@ def test_pts_scan_of_until_family_size_two():
 
 
 def test_pts_engine_failure_names_the_chain(monkeypatch):
-    def boom(m, f, refinement_log=None, rounds=None):
+    def boom(m, f, refinement_log=None):
         raise LinearSolveError("forced")
 
     monkeypatch.setattr("pltl_learn.learner.check_ltl", boom)
@@ -402,26 +402,6 @@ def test_pts_refines_each_shared_prefix_once(monkeypatch):
     assert stats.engine_calls == stats.checked[3] * 2
 
 
-def test_pts_walks_each_body_once(monkeypatch):
-    import pltl_learn.engine as engine
-
-    walked = []
-    original = engine.temporal_subformulas
-
-    def counting(f):
-        walked.append(f)
-        return original(f)
-
-    monkeypatch.setattr(engine, "temporal_subformulas", counting)
-    monkeypatch.setattr("pltl_learn.learner.temporal_subformulas", counting)
-    bodies = [parse_ltl(t) for t in ("F(a)", "(F(a) | X(a))", "G(F(a))", "(a U X(a))")]
-    sample = Sample.build([RETRY], [reach_chain(0.3)])
-    got = pts(bodies, sample, 0.05)
-    # once for the trie-order sort, and the engine reuses that sequence
-    assert walked == bodies
-    assert got == _pts_by_body(bodies, sample, 0.05)
-
-
 def test_pts_matches_plain_loop_on_distinct_chains():
     rng = random.Random(11)
     a, b, c = (chains.random_chain(rng, max_states=8) for _ in range(3))
@@ -441,12 +421,12 @@ def test_pts_engine_failure_keeps_scan_order_with_shared_chains(monkeypatch):
     # evaluation runs in another order than the scan
     assert sorted(bodies, key=lambda f: f.hash64) == bodies[::-1]
 
-    def failing(m, f, refinement_log=None, rounds=None):
+    def failing(m, f, refinement_log=None):
         # X(a) fails on b and G(a) on a, so both fail on any union of chains.
         union = len(m.parts) > 1
         if (f == bodies[1] and (m == b or union)) or (f == bodies[2] and (m == a or union)):
             raise LinearSolveError("forced")
-        return check_ltl(m, f, refinement_log, rounds=rounds)
+        return check_ltl(m, f, refinement_log)
 
     monkeypatch.setattr("pltl_learn.learner.check_ltl", failing)
     sample = Sample.build([a, b], [RETRY])
