@@ -12,9 +12,9 @@ c as false everywhere.
 
 The bodies are also scored, in the same order with one log, on the
 disjoint union of the chains projected onto a, b, c, as pts scores a
-sample.  The script exits 1 if any part's vector differs from its
-chain's own vector, or if the union and the chains disagree on which
-bodies fail to solve.
+sample.  The script exits 1 if any chain's slice of the union's vector
+differs from the chain's own vector, or if the union and the chains
+disagree on which bodies fail to solve.
 
 Run it on two trees and compare the printed digests:
 
@@ -23,6 +23,7 @@ Run it on two trees and compare the printed digests:
 import hashlib
 import random
 import sys
+from itertools import accumulate
 
 from pltl_learn.dtmc import Dtmc, disjoint_union, project
 from pltl_learn.engine import LinearSolveError, check_ltl, trie_key
@@ -63,7 +64,8 @@ def union_mismatches(fs, ms, alone) -> list[str]:
     alone[k][j] is repr() of chain k's vector for body j as a tuple, or
     None if its solve failed."""
     union = disjoint_union([project(m, AP) for m in ms])
-    ends = [*union.parts[1:], union.n_states]
+    # Chain k is states starts[k] up to starts[k + 1] of the union.
+    starts = list(accumulate((m.n_states for m in ms), initial=0))
     log: list = []
     bad = []
     for j, f in enumerate(fs):
@@ -74,7 +76,7 @@ def union_mismatches(fs, ms, alone) -> list[str]:
             if None not in expect:
                 bad.append(print_ltl(f))
             continue
-        if [repr(tuple(values[lo:hi])) for lo, hi in zip(union.parts, ends)] != expect:
+        if [repr(tuple(values[lo:hi])) for lo, hi in zip(starts, starts[1:])] != expect:
             bad.append(print_ltl(f))
     return bad
 

@@ -7,7 +7,6 @@ proposition names.  Transition structure is kept as a flat edge list
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,12 +38,8 @@ class Dtmc:
 
     ``transitions`` is a tuple of (src, dst, prob) triples with positive
     probabilities; every state needs an outgoing distribution summing to
-    one.  ``parts`` holds the first state of each part.  A chain built by
-    ``disjoint_union`` has one part per chain it joins: part k runs from
-    state ``parts[k]`` up to the next part's first state, and no
-    transition leaves its part.  An ordinary chain is one part, ``(0,)``.
-    Construction raises DtmcError naming every problem that ``validate``
-    finds.
+    one.  Construction raises DtmcError naming every problem that
+    ``validate`` finds.
     """
 
     n_states: int
@@ -52,7 +47,6 @@ class Dtmc:
     ap: tuple[str, ...]
     labels: tuple[frozenset[str], ...]
     transitions: tuple[tuple[int, int, float], ...]
-    parts: tuple[int, ...] = (0,)
 
     def __post_init__(self):
         errs = validate(self)
@@ -66,6 +60,22 @@ class Dtmc:
         for s, t, p in self.transitions:
             out[s].append((t, p))
         return tuple(tuple(r) for r in out)
+
+    @cached_property
+    def parts(self) -> tuple[int, ...]:
+        """The first state of each part: the chain is cut before each state
+        c that no transition crosses, so a run never leaves its part."""
+        # (s, t) crosses each c with min(s, t) < c <= max(s, t).
+        delta = [0] * (self.n_states + 1)
+        for s, t, _ in self.transitions:
+            delta[min(s, t) + 1] += 1
+            delta[max(s, t) + 1] -= 1
+        cuts, crossing = [0], 0
+        for c in range(1, self.n_states):
+            crossing += delta[c]
+            if not crossing:
+                cuts.append(c)
+        return tuple(cuts)
 
 
 def validate(m: Dtmc) -> list[str]:
@@ -84,21 +94,12 @@ def validate(m: Dtmc) -> list[str]:
         extra = lab - apset
         if extra:
             errs.append(f"state {i} labelled with unknown {sorted(extra)}")
-    parts = m.parts
-    if not parts or parts[0] != 0:
-        errs.append(f"parts must start at state 0, got {parts!r}")
-        parts = (0,)
-    elif any(not a < b for a, b in zip(parts, parts[1:])) or parts[-1] >= m.n_states:
-        errs.append(f"parts must increase strictly below {m.n_states}, got {parts!r}")
-        parts = (0,)
     sums = [0.0] * m.n_states
     seen: set[tuple[int, int]] = set()
     for s, t, p in m.transitions:
         if not (0 <= s < m.n_states and 0 <= t < m.n_states):
             errs.append(f"transition ({s},{t}) out of range")
             continue
-        if len(parts) > 1 and bisect_right(parts, s) != bisect_right(parts, t):
-            errs.append(f"transition ({s},{t}) crosses parts")
         if not p > 0.0:
             errs.append(f"transition ({s},{t}) has non-positive probability {p}")
         if (s, t) in seen:
@@ -147,8 +148,7 @@ class Sample:
 
 
 def project(m: Dtmc, ap: tuple[str, ...]) -> Dtmc:
-    """Restrict the chain's labelling to the given alphabet; the parts
-    stay as they are."""
+    """Restrict the chain's labelling to the given alphabet."""
     keep = set(ap)
     return Dtmc(
         n_states=m.n_states,
@@ -156,17 +156,17 @@ def project(m: Dtmc, ap: tuple[str, ...]) -> Dtmc:
         ap=tuple(ap),
         labels=tuple(frozenset(lab & keep) for lab in m.labels),
         transitions=m.transitions,
-        parts=m.parts,
     )
 
 
 def disjoint_union(chains) -> Dtmc:
-    """The chains side by side as one chain, one part each, in order.
+    """The chains side by side as one chain, in order.
 
     Every chain needs the same alphabet.  A chain's states are shifted
-    by the states of the chains before it; its own parts stay parts of
-    the union.  The union starts in the first chain's initial state.  A
-    single chain is returned unchanged.
+    by the states of the chains before it, so no transition crosses into
+    another chain and each chain's first state starts a part.  The union
+    starts in the first chain's initial state.  A single chain is
+    returned unchanged.
     """
     chains = list(chains)
     if not chains:
@@ -176,12 +176,10 @@ def disjoint_union(chains) -> Dtmc:
     ap = chains[0].ap
     labels: list[frozenset[str]] = []
     edges: list[tuple[int, int, float]] = []
-    parts: list[int] = []
     for m in chains:
         if m.ap != ap:
             raise DtmcError(f"alphabets differ: {list(ap)} and {list(m.ap)}")
         base = len(labels)
-        parts.extend(base + k for k in m.parts)
         labels.extend(m.labels)
         edges.extend((base + s, base + t, p) for s, t, p in m.transitions)
     return Dtmc(
@@ -190,7 +188,6 @@ def disjoint_union(chains) -> Dtmc:
         ap=ap,
         labels=tuple(labels),
         transitions=tuple(edges),
-        parts=tuple(parts),
     )
 
 
@@ -245,15 +242,15 @@ def induced_dtmc(mdp: Mdp, strategy: dict[int, str]) -> Dtmc:
 # JSON format
 
 
-def _json_int(v, what: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise DtmcError(f"{what} must be an integer, got {type(v).__name__}")
-    return v
+def _is(v, kind) -> bool:
+    # JSON true and false load as bools, which Python counts as integers.
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
-def _json_list(v, what: str) -> list:
-    if not isinstance(v, list):
-        raise DtmcError(f"{what} must be a list, got {type(v).__name__}")
+def _json(v, kind: type, what: str):
+    if not _is(v, kind):
+        name = {int: "an integer", str: "a string", list: "a list"}[kind]
+        raise DtmcError(f"{what} must be {name}, got {type(v).__name__}")
     return v
 
 
@@ -268,8 +265,9 @@ def parse_json_dtmc(text: str) -> Dtmc:
     """Read the JSON chain format.
 
     Expected keys: states (int), init (int), ap (list of names), labels
-    (map from state index as string, or list, to lists of names),
-    transitions (list of [src, dst, prob]).
+    (map from state index as string, or list, to lists of names; one
+    entry a state), transitions (list of [src, dst, prob]: integers and
+    a number, none of them true or false).
     """
     try:
         doc = json.loads(text)
@@ -282,19 +280,15 @@ def parse_json_dtmc(text: str) -> Dtmc:
     for key in ("states", "init", "ap", "labels", "transitions"):
         if key not in doc:
             raise DtmcError(f"missing key {key!r}")
-    n = _json_int(doc["states"], "states")
-    init = _json_int(doc["init"], "init")
+    n = _json(doc["states"], int, "states")
+    init = _json(doc["init"], int, "init")
     edges = []
-    for row in _json_list(doc["transitions"], "transitions"):
-        try:
-            if not isinstance(row, list) or len(row) != 3:
-                raise TypeError
-            edges.append((int(row[0]), int(row[1]), float(row[2])))
-        except (TypeError, ValueError):
-            raise DtmcError(f"transition row {row!r} is not [src, dst, prob]") from None
+    for row in _json(doc["transitions"], list, "transitions"):
+        if not (_is(row, list) and len(row) == 3 and all(map(_is, row, (int, int, (int, float))))):
+            raise DtmcError(f"transition row {json.dumps(row)} is not [src, dst, prob]")
+        edges.append((row[0], row[1], float(row[2])))
     _check_state_count(n, len(edges))
     raw_labels = doc["labels"]
-    labels: list[frozenset[str]] = [frozenset()] * n
     if isinstance(raw_labels, dict):
         items = []
         for k, v in raw_labels.items():
@@ -306,14 +300,19 @@ def parse_json_dtmc(text: str) -> Dtmc:
         items = list(enumerate(raw_labels))
     else:
         raise DtmcError("labels must be a mapping or a list")
+    if len({idx for idx, _ in items}) < len(items):
+        raise DtmcError("two label entries name the same state")
+    # One shared empty set: frozenset() makes a new object on each call.
+    labels: list[frozenset[str]] = [frozenset()] * n
     for idx, names in items:
         if not 0 <= idx < n:
             raise DtmcError(f"label for out-of-range state {idx}")
-        labels[idx] = frozenset(str(x) for x in _json_list(names, f"labels of state {idx}"))
+        names = _json(names, list, f"labels of state {idx}")
+        labels[idx] = frozenset(_json(x, str, f"a label of state {idx}") for x in names)
     return Dtmc(
         n_states=n,
         init=init,
-        ap=tuple(str(a) for a in _json_list(doc["ap"], "ap")),
+        ap=tuple(_json(a, str, "a proposition in ap") for a in _json(doc["ap"], list, "ap")),
         labels=tuple(labels),
         transitions=tuple(edges),
     )

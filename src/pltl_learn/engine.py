@@ -15,9 +15,10 @@ are built only when they are first read, that is when a later round
 refines that chain again; the last round of a body never needs them.  A
 caller scoring many bodies on one chain can pass the same refinement log
 to every call, so the rounds a body shares with the previous one are not
-refined again.  A chain of several parts (``dtmc.disjoint_union``) is
-scored in one call: each part gets its own linear systems, the ones its
-chain alone would get, so each part's values are those of that chain.
+refined again.  A chain's parts (``Dtmc.parts``) are the runs of states
+that no transition crosses, and each part gets its own linear systems,
+the ones it would get alone; so a ``dtmc.disjoint_union`` is scored in
+one call, and each chain's slice of it takes that chain's own values.
 A part with fewer than _SCC_MIN (64) undecided states is one dense
 system.  A larger one is split into strongly connected components,
 solved one at a time in reverse topological order (each after every
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -207,7 +208,7 @@ def _until_vec(rows, parts, a: list[bool], b: list[bool]) -> list[float]:
     section 10.1), linear solves give the rest.
 
     parts holds the first state of each part; no transition leaves its
-    part, so each part's systems are the ones its chain alone gives.  A
+    part, so each part's systems are the ones it gives alone.  A
     part with at least _SCC_MIN undecided states is solved one SCC at a
     time, each block after the blocks it reaches, which are then known.
     """
@@ -268,8 +269,9 @@ class RefinedChain:
     node to its column.  ``rows`` are conditioned transitions and each
     row sums to one; ``build_rows`` makes them on first read, which only
     a later round that refines this chain further does.  Copies stay in
-    origin order, so the copies of each part of the original chain form
-    one contiguous run; ``parts`` holds the first copy of each part.
+    origin order, so the copies of each part of the original chain (a
+    run of states that no transition crosses, ``Dtmc.parts``) form one
+    contiguous run; ``parts`` holds the first copy of each part.
     """
 
     origin: np.ndarray
@@ -277,10 +279,10 @@ class RefinedChain:
     labels: np.ndarray
     columns: dict[str | LtlFormula, int]
     parts: tuple[int, ...]
-    build_rows: Callable[[], list[list[tuple[int, float]]]]
+    build_rows: Callable[[], Sequence[Sequence[tuple[int, float]]]]
 
     @cached_property
-    def rows(self) -> list[list[tuple[int, float]]]:
+    def rows(self) -> Sequence[Sequence[tuple[int, float]]]:
         return self.build_rows()
 
 
@@ -310,7 +312,7 @@ def initial_refinement(m: Dtmc) -> RefinedChain:
         labels=labels.reshape(n, len(m.ap)),
         columns={a: j for j, a in enumerate(m.ap)},
         parts=m.parts,
-        build_rows=lambda: [list(row) for row in m.rows],
+        build_rows=lambda: m.rows,
     )
 
 

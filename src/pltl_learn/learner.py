@@ -316,7 +316,7 @@ def pts(
 
     Chains with equal content are evaluated once, and the distinct ones
     side by side: each body is one check_ltl call on their disjoint
-    union, whose parts take the same values as their chains alone.  The
+    union, where each chain's slice takes the values it takes alone.  The
     bodies go through check_ltl with one shared refinement log in
     engine.trie_key order, so each shared prefix is refined once and
     only one path of refined chains is alive at a time.  The scan itself

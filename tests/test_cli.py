@@ -186,6 +186,14 @@ def _manifest(params):
         ("learn", {**_manifest({"max_size": 1}), "ap": [[1]]}),
         ("learn", {**_manifest({"max_size": 1}), "ap": [1]}),
         ("check", {**_ONE_STATE, "states": 10**15}),
+        ("check", {**_ONE_STATE, "transitions": [[0.9, 0, 1.0]]}),
+        ("check", {**_ONE_STATE, "transitions": [[False, 0, 1.0]]}),
+        ("check", {**_ONE_STATE, "transitions": [[0, False, 1.0]]}),
+        ("check", {**_ONE_STATE, "transitions": [[0, 0, "1"]]}),
+        ("check", {**_ONE_STATE, "transitions": [[0, 0, True]]}),
+        ("check", {**_ONE_STATE, "ap": [1]}),
+        ("check", {**_ONE_STATE, "ap": ["1"], "labels": {"0": [1]}}),
+        ("check", {**_ONE_STATE, "labels": {"0": [], "00": []}}),
         ("check", "[" * 200_000),
         ("learn", "[" * 200_000),
     ],
@@ -215,6 +223,14 @@ def _manifest(params):
         "manifest-ap-nested-list",
         "manifest-ap-int-name",
         "states-huge",
+        "row-float-src",
+        "row-bool-src",
+        "row-bool-dst",
+        "row-str-prob",
+        "row-bool-prob",
+        "chain-ap-int-name",
+        "label-int-name",
+        "label-state-twice",
         "chain-nested",
         "manifest-nested",
     ],

@@ -205,9 +205,12 @@ def test_json_states_must_not_be_bool():
 
 
 def test_json_nan_probability_rejected():
-    text = '{"states": 1, "init": 0, "ap": [], "labels": {}, "transitions": [[0, 0, "nan"]]}'
+    # Python's json reads the bare NaN token as a float; a string is no number.
+    text = '{"states": 1, "init": 0, "ap": [], "labels": {}, "transitions": [[0, 0, NaN]]}'
     with pytest.raises(DtmcError, match="non-positive probability nan"):
         parse_json_dtmc(text)
+    with pytest.raises(DtmcError, match="not \\[src, dst, prob\\]"):
+        parse_json_dtmc(text.replace("NaN", '"nan"'))
 
 
 def test_json_output_skips_empty_label_sets():
@@ -315,28 +318,38 @@ def test_chain_is_one_part_by_default():
     assert _chain().parts == (0,)
 
 
+def _bare(n, *edges) -> Dtmc:
+    return _chain(n_states=n, labels=(frozenset(),) * n, transitions=edges)
+
+
 @pytest.mark.parametrize(
-    "parts, message",
+    "m, parts",
     [
-        ((), "start at state 0"),
-        ((1,), "start at state 0"),
-        ((0, 0), "increase strictly"),
-        ((0, 2, 1), "increase strictly"),
-        ((0, 4), "increase strictly below 4"),
+        (_bare(3, (0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)), (0,)),
+        (_bare(3, (0, 1, 0.5), (0, 0, 0.5), (1, 0, 1.0), (2, 2, 1.0)), (0, 2)),
+        (_bare(3, (0, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)), (0, 1)),
+        (_bare(3, (0, 1, 1.0), (1, 0, 1.0), (2, 2, 0.5), (2, 0, 0.5)), (0,)),
+        (_bare(4, (0, 3, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0)), (0,)),
+        (_bare(4, (0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0)), (0, 1, 2, 3)),
+        (
+            disjoint_union(
+                [_bare(2, (0, 1, 1.0), (1, 1, 1.0)), _bare(3, (0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0))]
+            ),
+            (0, 2, 4),
+        ),
+    ],
+    ids=[
+        "one-piece",
+        "trailing-absorbing",
+        "leading-absorbing",
+        "backward-edge-spans-cut",
+        "long-edge-spans-cuts",
+        "all-absorbing",
+        "union",
     ],
 )
-def test_bad_parts_rejected(parts, message):
-    edges = ((0, 0, 1.0), (1, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0))
-    with pytest.raises(DtmcError, match=message):
-        _chain(n_states=4, labels=(frozenset(),) * 4, transitions=edges, parts=parts)
-
-
-def test_edge_across_parts_rejected():
-    edges = ((0, 0, 1.0), (1, 2, 1.0), (2, 2, 1.0))
-    with pytest.raises(DtmcError, match=r"transition \(1,2\) crosses parts"):
-        _chain(n_states=3, labels=(frozenset(),) * 3, transitions=edges, parts=(0, 2))
-    # one part holds any edge
-    assert _chain(n_states=3, labels=(frozenset(),) * 3, transitions=edges).parts == (0,)
+def test_parts_are_the_runs_no_transition_crosses(m, parts):
+    assert m.parts == parts
 
 
 def test_disjoint_union_shifts_each_chain():

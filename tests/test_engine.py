@@ -344,7 +344,7 @@ def test_initial_refinement_copies_chain():
     r = initial_refinement(C1)
     assert list(r.origin) == [0, 1, 2]
     assert list(r.weights) == [1.0, 1.0, 1.0]
-    assert r.rows[0] == [(1, 0.3), (2, 0.7)]
+    assert list(r.rows[0]) == [(1, 0.3), (2, 0.7)]
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +572,8 @@ def test_union_parts_match_each_chain_alone_bit_for_bit(seed, monkeypatch):
     starts = [0]
     for m in ms:
         starts.append(starts[-1] + m.n_states)
-    assert union.parts == tuple(starts[:-1])
+    # A chain may have parts of its own, so the union may have more.
+    assert set(starts[:-1]) <= set(union.parts)
     bodies = _bodies_in_trie_order(("a", "b"), 4)
     solves = []
     original = engine.solve_linear
@@ -590,6 +591,46 @@ def test_union_parts_match_each_chain_alone_bit_for_bit(seed, monkeypatch):
         assert got.init == got.values[ms[0].init]
         for m, lo, hi in zip(ms, starts, starts[1:]):
             assert got.values[lo:hi] == check_ltl(m, f).values, print_ltl(f)
+
+
+def test_chain_of_two_pieces_matches_the_oracles_and_its_union_slice(monkeypatch):
+    # States 0-3 and 4-6 share no transition, so each piece solves alone.
+    m = _mk(
+        7,
+        0,
+        [(), (), ("a",), ("b",), (), ("b",), ("a",)],
+        [
+            (0, 1, 0.5), (0, 2, 0.25), (0, 3, 0.25),
+            (1, 0, 0.5), (1, 2, 0.125), (1, 3, 0.375),
+            (2, 2, 1.0), (3, 3, 1.0),
+            (4, 4, 0.25), (4, 5, 0.5), (4, 6, 0.25),
+            (5, 5, 1.0), (6, 6, 0.5), (6, 4, 0.5),
+        ],
+    )
+    assert m.parts == (0, 4)
+    dims = []
+    original = engine.solve_linear
+    monkeypatch.setattr(engine, "solve_linear", lambda A, c: dims.append(len(c)) or original(A, c))
+    not_a = lambda s: "a" not in m.labels[s]  # noqa: E731
+    cases = {
+        "F(a)": until_prob(m, chains._true, "a"),
+        "(!a U b)": until_prob(m, not_a, "b"),
+        "G(!b)": [1.0 - v for v in until_prob(m, chains._true, "b")],
+        "G(F(a))": gf_oracle(m, "a"),
+        "G(F(b))": gf_oracle(m, "b"),
+    }
+    other = chains.random_chain(random.Random(5))
+    union = disjoint_union([other, m])
+    assert {0, other.n_states, other.n_states + 4} <= set(union.parts)
+    for text, want in cases.items():
+        got = check_ltl(m, parse_ltl(text)).values
+        _assert_matches(got, want, text)
+        on_union = check_ltl(union, parse_ltl(text)).values[other.n_states :]
+        assert on_union.tobytes() == got.tobytes(), text
+    # F(a) leaves both pieces undecided: states 0-1 and state 4 solve apart.
+    dims.clear()
+    check_ltl(m, parse_ltl("F(a)"))
+    assert dims == [2, 1]
 
 
 def test_union_solves_each_part_alone_in_the_same_round(monkeypatch):
