@@ -19,7 +19,7 @@ import json
 import random
 from pathlib import Path
 
-from .dtmc import Dtmc, Mdp, Sample, dtmc_to_json, dtmc_to_prism, induced_dtmc
+from .dtmc import NO_LABELS, Dtmc, Mdp, Sample, dtmc_to_json, dtmc_to_prism, induced_dtmc
 
 __all__ = [
     "reach_chain",
@@ -281,7 +281,7 @@ def gridworld_mdp(width: int = 3, height: int = 3, slip: float = 1.0 / 3.0) -> M
                 labels.append(frozenset({"trap"}))
                 actions.append({"stay": ((idx(x, y), 1.0),)})
                 continue
-            labels.append(frozenset())
+            labels.append(NO_LABELS)
             acts = {}
             for d in ("n", "e", "s", "w"):
                 merged: dict[int, float] = {}

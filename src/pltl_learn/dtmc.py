@@ -27,6 +27,10 @@ __all__ = [
 
 _ROW_TOL = 1e-9
 
+# The label set of every unlabelled state: frozenset() and an empty
+# intersection each make a new 216-byte object.
+NO_LABELS: frozenset[str] = frozenset()
+
 
 class DtmcError(ValueError):
     pass
@@ -154,7 +158,7 @@ def project(m: Dtmc, ap: tuple[str, ...]) -> Dtmc:
         n_states=m.n_states,
         init=m.init,
         ap=tuple(ap),
-        labels=tuple(frozenset(lab & keep) for lab in m.labels),
+        labels=tuple(frozenset(lab & keep) or NO_LABELS for lab in m.labels),
         transitions=m.transitions,
     )
 
@@ -265,8 +269,8 @@ def parse_json_dtmc(text: str) -> Dtmc:
     """Read the JSON chain format.
 
     Expected keys: states (int), init (int), ap (list of names), labels
-    (map from state index as string, or list, to lists of names; one
-    entry a state), transitions (list of [src, dst, prob]: integers and
+    (map from a state index written as its plain decimal, or list, to
+    lists of names), transitions (list of [src, dst, prob]: integers and
     a number, none of them true or false).
     """
     try:
@@ -293,22 +297,26 @@ def parse_json_dtmc(text: str) -> Dtmc:
         items = []
         for k, v in raw_labels.items():
             try:
-                items.append((int(k), v))
+                idx = int(k)
             except ValueError:
-                raise DtmcError(f"label key {k!r} is not a state index") from None
+                idx = None
+            # A key is the plain decimal of its state, so no two keys
+            # name one state: int() alone also reads " 3 ", "+5", "03"
+            # and "1_0".
+            if idx is None or str(idx) != k:
+                raise DtmcError(f"label key {k!r} is not a state index")
+            items.append((idx, v))
     elif isinstance(raw_labels, list):
         items = list(enumerate(raw_labels))
     else:
         raise DtmcError("labels must be a mapping or a list")
-    if len({idx for idx, _ in items}) < len(items):
-        raise DtmcError("two label entries name the same state")
-    # One shared empty set: frozenset() makes a new object on each call.
-    labels: list[frozenset[str]] = [frozenset()] * n
+    labels: list[frozenset[str]] = [NO_LABELS] * n
     for idx, names in items:
         if not 0 <= idx < n:
             raise DtmcError(f"label for out-of-range state {idx}")
         names = _json(names, list, f"labels of state {idx}")
-        labels[idx] = frozenset(_json(x, str, f"a label of state {idx}") for x in names)
+        names = frozenset(_json(x, str, f"a label of state {idx}") for x in names)
+        labels[idx] = names or NO_LABELS
     return Dtmc(
         n_states=n,
         init=init,
@@ -396,7 +404,7 @@ def parse_prism_explicit(tra_text: str, lab_text: str) -> Dtmc:
         n_states=n,
         init=init_states[0],
         ap=tuple(ap),
-        labels=tuple(frozenset(l) for l in labels),
+        labels=tuple(frozenset(l) or NO_LABELS for l in labels),
         transitions=tuple(edges),
     )
 

@@ -19,13 +19,16 @@ refined again.  A chain's parts (``Dtmc.parts``) are the runs of states
 that no transition crosses, and each part gets its own linear systems,
 the ones it would get alone; so a ``dtmc.disjoint_union`` is scored in
 one call, and each chain's slice of it takes that chain's own values.
-A part with fewer than _SCC_MIN (64) undecided states is one dense
-system.  A larger one is split into strongly connected components,
-solved one at a time in reverse topological order (each after every
-component it reaches), so a block's right-hand side reads its solved
-successors, and the eliminations cost the sum of the blocks' cubes,
-not the cube of the part's.  The values come back as one read-only
-memoryview over a float64 array.
+The size rule has one cutover, _SCC_MIN (64 unknowns).  A part with
+fewer undecided states is one dense system.  A larger one is split into
+strongly connected components, solved one at a time in reverse
+topological order (each after every component it reaches), so a
+block's right-hand side reads its solved successors.  A block below
+the cutover is a dense system for solve_linear; a block at or above it
+is solved by sparse elimination in Markowitz order, whose time and
+memory follow the block's nonzeros and fill-ins, so no system of
+_SCC_MIN or more unknowns is ever a dense matrix.  The values come back
+as one read-only memoryview over a float64 array.
 
 Graph preprocessing pins impossible states to exactly 0.0 and almost-sure
 states to exactly 1.0, so downstream exact-equality tests on degenerate
@@ -38,6 +41,7 @@ from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -61,8 +65,9 @@ __all__ = [
 # the conditioned rows would otherwise divide by a vanishing factor.
 _BRANCH_EPS = 1e-12
 
-# A part with at least this many undecided states is solved SCC by SCC;
-# smaller ones are one dense system, which skips Tarjan's overhead.
+# A part with at least this many undecided states is solved SCC by SCC,
+# and a block of at least this many by sparse elimination; smaller ones
+# are one dense system, which skips Tarjan's and the dicts' overhead.
 _SCC_MIN = 64
 
 
@@ -202,6 +207,116 @@ def _blocks(rows, run: list[int]) -> list[list[int]]:
     return [[run[j] for j in comp] for comp in _sccs(succ)]
 
 
+def _solve_dense(rows, block: list[int], out: list[float]) -> list[float]:
+    """The block's values from one dense system (I - Q)x = c through
+    solve_linear: Q is the block's rows restricted to the block, and c
+    the mass they send to states already valued in out."""
+    pos = {s: j for j, s in enumerate(block)}
+    k = len(block)
+    A = np.eye(k)
+    c = np.zeros(k)
+    for j, s in enumerate(block):
+        for t, q in rows[s]:
+            if t in pos:
+                A[j, pos[t]] -= q
+            elif out[t]:
+                # A successor outside the block is pinned or in a block
+                # solved before this one.
+                c[j] += q * out[t]
+    return solve_linear(A, c).tolist()
+
+
+def _solve_sparse(rows, block: list[int], out: list[float]) -> list[float]:
+    """The same system as _solve_dense, by sparse Gaussian elimination.
+
+    Each unknown keeps its row as one {column: value} dict, so time and
+    memory follow the nonzeros and their fill-ins, not k**2.  Pivots are
+    taken on the diagonal in Markowitz order (Markowitz, "The elimination
+    form of the inverse...", Management Science 1957): next comes the
+    unknown with the fewest (row nonzeros - 1) * (column nonzeros - 1),
+    from a heap whose stale entries are skipped.  A block here is an SCC
+    that leaks, so I - Q is a nonsingular M-matrix that is diagonally
+    dominant by rows, and its elimination needs no row exchanges.
+    solve_linear's contract holds: a pivot below 1e-12 raises
+    SingularSystemError naming the elimination step, and a residual
+    above 1e-9 * (1 + max|c|), taken over the block's rows, raises
+    LinearSolveError.
+    """
+    pos = {s: j for j, s in enumerate(block)}
+    k = len(block)
+    U: list[dict[int, float]] = [{j: 1.0} for j in range(k)]
+    c = [0.0] * k
+    for j, s in enumerate(block):
+        for t, q in rows[s]:
+            i = pos.get(t)
+            if i is not None:
+                U[j][i] = U[j].get(i, 0.0) - q
+            elif out[t]:
+                c[j] += q * out[t]
+    c0 = c.copy()
+    # cols[j]: the rows not yet eliminated with an entry in column j.
+    cols: list[set[int]] = [set() for _ in range(k)]
+    for i, row in enumerate(U):
+        for j in row:
+            cols[j].add(i)
+
+    def cost(j: int) -> int:
+        return (len(U[j]) - 1) * (len(cols[j]) - 1)
+
+    heap = [(cost(j), j) for j in range(k)]
+    heapify(heap)
+    order: list[int] = []
+    done = [False] * k
+    while heap:
+        m, p = heappop(heap)
+        if done[p] or m != cost(p):
+            continue
+        row = U[p]
+        piv = row[p]
+        if abs(piv) < 1e-12:
+            raise SingularSystemError(f"no usable pivot in column {len(order)}")
+        done[p] = True
+        order.append(p)
+        for j in row:
+            cols[j].discard(p)
+        changed = set(row)
+        for i in cols[p]:
+            below = U[i]
+            f = below.pop(p) / piv
+            for j, v in row.items():
+                if j == p:
+                    continue
+                if j in below:
+                    below[j] -= f * v
+                else:
+                    below[j] = -f * v
+                    cols[j].add(i)
+            c[i] -= f * c[p]
+            changed.add(i)
+        for j in changed:
+            if not done[j]:
+                heappush(heap, (cost(j), j))
+    # Each pivot row holds only columns eliminated after it.
+    x = [0.0] * k
+    for p in reversed(order):
+        acc = c[p]
+        for j, v in U[p].items():
+            if j != p:
+                acc -= v * x[j]
+        x[p] = acc / U[p][p]
+    resid = 0.0
+    for j, s in enumerate(block):
+        r = x[j] - c0[j]
+        for t, q in rows[s]:
+            i = pos.get(t)
+            if i is not None:
+                r -= q * x[i]
+        resid = max(resid, abs(r))
+    if not resid <= 1e-9 * (1.0 + max(map(abs, c0))):
+        raise LinearSolveError(f"residual {resid} too large")
+    return x
+
+
 def _until_vec(rows, parts, a: list[bool], b: list[bool]) -> list[float]:
     """Per-state probability of a U b: graph passes pin the states of
     probability 0 and 1 (Baier & Katoen, Principles of Model Checking,
@@ -211,6 +326,9 @@ def _until_vec(rows, parts, a: list[bool], b: list[bool]) -> list[float]:
     part, so each part's systems are the ones it gives alone.  A
     part with at least _SCC_MIN undecided states is solved one SCC at a
     time, each block after the blocks it reaches, which are then known.
+    A block of fewer than _SCC_MIN unknowns, a whole part or one SCC, is
+    a dense system for solve_linear; a larger one, always an SCC, goes
+    to _solve_sparse.  Either way the values are clamped to [0, 1].
     """
     n = len(rows)
     preds: list[list[int]] = [[] for _ in range(n)]
@@ -234,21 +352,9 @@ def _until_vec(rows, parts, a: list[bool], b: list[bool]) -> list[float]:
         if not run:
             continue
         for block in _blocks(rows, run):
-            pos = {s: j for j, s in enumerate(block)}
-            k = len(block)
-            A = np.eye(k)
-            c = np.zeros(k)
-            for j, s in enumerate(block):
-                for t, q in rows[s]:
-                    if t in pos:
-                        A[j, pos[t]] -= q
-                    elif out[t]:
-                        # A successor outside the block is pinned or in
-                        # a block solved before this one.
-                        c[j] += q * out[t]
-            x = np.fmin(1.0, np.fmax(0.0, solve_linear(A, c)))
-            for s, v in zip(block, x.tolist()):
-                out[s] = v
+            solve = _solve_sparse if len(block) >= _SCC_MIN else _solve_dense
+            for s, v in zip(block, solve(rows, block, out)):
+                out[s] = min(1.0, max(0.0, v))
     return out
 
 

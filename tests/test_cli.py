@@ -149,6 +149,14 @@ def test_learn_manifest_bad_json(tmp_path, capsys):
 
 
 _ONE_STATE = {"states": 1, "init": 0, "ap": [], "labels": {}, "transitions": [[0, 0, 1.0]]}
+# Eleven states, so label keys that int() reads as 3, 5 or 10 name one.
+_RING = {
+    "states": 11,
+    "init": 0,
+    "ap": ["a"],
+    "labels": {},
+    "transitions": [[s, (s + 1) % 11, 1.0] for s in range(11)],
+}
 _ENTRY = {"format": "json", "path": "chain.json"}
 _PRISM_ENTRY = {"format": "prism-explicit", "tra": "chain.tra", "lab": "chain.lab"}
 
@@ -194,6 +202,12 @@ def _manifest(params):
         ("check", {**_ONE_STATE, "ap": [1]}),
         ("check", {**_ONE_STATE, "ap": ["1"], "labels": {"0": [1]}}),
         ("check", {**_ONE_STATE, "labels": {"0": [], "00": []}}),
+        ("check", {**_RING, "labels": {"1_0": ["a"]}}),
+        ("check", {**_RING, "labels": {" 3 ": ["a"]}}),
+        ("check", {**_RING, "labels": {"+5": ["a"]}}),
+        ("check", {**_RING, "labels": {"03": ["a"]}}),
+        ("check", {**_RING, "labels": {"\uff13": ["a"]}}),
+        ("check", {**_RING, "labels": {"1" * 5000: ["a"]}}),
         ("check", "[" * 200_000),
         ("learn", "[" * 200_000),
     ],
@@ -231,6 +245,12 @@ def _manifest(params):
         "chain-ap-int-name",
         "label-int-name",
         "label-state-twice",
+        "label-key-underscore",
+        "label-key-spaces",
+        "label-key-plus",
+        "label-key-leading-zero",
+        "label-key-fullwidth-digit",
+        "label-key-too-long-for-int",
         "chain-nested",
         "manifest-nested",
     ],

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from chains import bsccs, dense_matrix, random_chain
-from pltl_learn.benchgen import reach_chain, safety_chain, until_chain
+from pltl_learn.benchgen import (
+    gridworld_mdp,
+    gridworld_strategy,
+    reach_chain,
+    safety_chain,
+    until_chain,
+)
 from pltl_learn.dtmc import (
     Dtmc,
     DtmcError,
@@ -308,6 +314,28 @@ def test_project_drops_foreign_labels():
     assert p.labels == (frozenset(), frozenset({"a"}))
     assert p.transitions == m.transitions
     assert p.parts == (0,)
+
+
+def _bold30() -> Dtmc:
+    return induced_dtmc(gridworld_mdp(30, 30, 0.2), gridworld_strategy(30, 30, "bold"))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _bold30,
+        lambda: project(_bold30(), ("goal", "trap")),
+        lambda: parse_prism_explicit(*dtmc_to_prism(_bold30())),
+    ],
+    ids=["induced", "project", "prism-roundtrip"],
+)
+def test_unlabelled_states_share_one_empty_set(build):
+    # 898 of the 900 states are unlabelled; a new empty frozenset for
+    # each would hold 216 bytes apiece.
+    m = build()
+    empty = {id(lab) for lab in m.labels if not lab}
+    assert sum(not lab for lab in m.labels) == 898
+    assert len(empty) == 1
 
 
 # ---------------------------------------------------------------------------

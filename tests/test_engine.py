@@ -744,6 +744,88 @@ def test_pivot_floor_holds_inside_a_large_system(tmp_path, capsys):
     assert err == "error: no usable pivot in column 0\n"
 
 
+# ---------------------------------------------------------------------------
+# Sparse elimination: blocks of at least engine._SCC_MIN unknowns
+
+
+def _leaky_scc_block(rng: random.Random, k: int):
+    """(rows, block, out): k unknowns joined by a ring, so they form one
+    SCC, with up to two more successors inside the block; about a third
+    of them also step to one of four states outside it that are already
+    valued in out, one of them at 0.0.  The block lists its states in a
+    shuffled order, so the solver may not assume they are sorted."""
+    block = rng.sample(range(k + 4), k)
+    outside = sorted(set(range(k + 4)) - set(block))
+    out = [0.0] * (k + 4)
+    for t, v in zip(outside, (1.0, 0.0, rng.random(), rng.random())):
+        out[t] = v
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(k + 4)]
+    for j, s in enumerate(block):
+        succ = {block[(j + 1) % k]} | set(rng.sample(block, rng.randint(0, 2)))
+        if j == 0 or rng.random() < 0.35:
+            succ.add(rng.choice(outside))
+        succ = sorted(succ)
+        rows[s] = list(zip(succ, chains._masses(rng, len(succ))))
+    return rows, block, out
+
+
+def test_sparse_solve_matches_dense_elimination_on_random_blocks():
+    rng = random.Random(83)
+    for k in [64, 65, 100, 400] + [rng.randint(64, 400) for _ in range(12)]:
+        rows, block, out = _leaky_scc_block(rng, k)
+        pos = {s: j for j, s in enumerate(block)}
+        A, c = np.eye(k), np.zeros(k)
+        for j, s in enumerate(block):
+            for t, q in rows[s]:
+                if t in pos:
+                    A[j, pos[t]] -= q
+                else:
+                    c[j] += q * out[t]
+        got = engine._solve_sparse(rows, block, out)
+        assert np.max(np.abs(np.array(got) - chains.dense_solve(A, c))) <= 1e-12, k
+
+
+@pytest.mark.parametrize("n", [150, 400])
+def test_no_dense_system_reaches_the_cutover(n, monkeypatch):
+    m = chains.sink_chain(random.Random(37), n)
+    dense, sparse = [], []
+    solve, solve_sparse = engine.solve_linear, engine._solve_sparse
+
+    def spy_sparse(rows, block, out):
+        sparse.append(len(block))
+        return solve_sparse(rows, block, out)
+
+    monkeypatch.setattr(engine, "solve_linear", lambda A, c: dense.append(len(c)) or solve(A, c))
+    monkeypatch.setattr(engine, "_solve_sparse", spy_sparse)
+    for text, want in (("G(F(a))", gf_oracle(m, "a")), ("F(G(b))", fg_oracle(m, "b"))):
+        _assert_matches(check_ltl(m, parse_ltl(text)).values, want, text)
+    # An SCC of at least _SCC_MIN unknowns went to the sparse solver,
+    # and solve_linear only ever saw systems below the cutover.
+    assert dense and max(dense) < engine._SCC_MIN
+    assert sparse and min(sparse) >= engine._SCC_MIN
+
+
+def test_pivot_floor_holds_in_sparse_elimination(tmp_path, capsys):
+    # A 100-state ring whose states each leak 2**-51 to the goal and
+    # 2**-51 to a fail state: one SCC, so one sparse system, whose last
+    # pivot is about 100 * 2**-50, below the 1e-12 floor.
+    n, leak = 100, 2.0**-51
+    goal, fail = n, n + 1
+    transitions = [[goal, goal, 1.0], [fail, fail, 1.0]]
+    for s in range(n):
+        transitions += [[s, (s + 1) % n, 1.0 - 2 * leak], [s, goal, leak], [s, fail, leak]]
+    doc = {"states": n + 2, "init": 0, "ap": ["a"], "labels": {str(goal): ["a"]}}
+    doc["transitions"] = transitions
+    with pytest.raises(SingularSystemError, match="^no usable pivot in column 99$"):
+        check_ltl(parse_json_dtmc(json.dumps(doc)), parse_ltl("F(a)"))
+    (tmp_path / "chain.json").write_text(json.dumps(doc))
+    rc = cli.main(["check", "--model", str(tmp_path / "chain.json"), "--formula", "F(a)"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == "error: no usable pivot in column 99\n"
+
+
 def test_long_line_of_singleton_components_matches_the_closed_form(monkeypatch):
     # Line state i steps to i + 1 with probability 1 - p and to the goal
     # with p; the last one steps to a dead end.  Pr(F goal) from line
