@@ -258,6 +258,19 @@ def _json(v, kind: type, what: str):
     return v
 
 
+def _decimal(tok: str, err: str) -> int:
+    """The integer tok writes as its plain ASCII decimal; DtmcError(err)
+    for any other token, since int() alone also reads " 3 ", "+5", "03",
+    "1_0" and other scripts' digits."""
+    try:
+        v = int(tok)
+    except ValueError:
+        raise DtmcError(err) from None
+    if str(v) != tok:
+        raise DtmcError(err)
+    return v
+
+
 def _check_state_count(n: int, n_edges: int) -> None:
     # Every state needs an outgoing transition, so a larger count is
     # rejected before anything is built per state.
@@ -294,18 +307,11 @@ def parse_json_dtmc(text: str) -> Dtmc:
     _check_state_count(n, len(edges))
     raw_labels = doc["labels"]
     if isinstance(raw_labels, dict):
-        items = []
-        for k, v in raw_labels.items():
-            try:
-                idx = int(k)
-            except ValueError:
-                idx = None
-            # A key is the plain decimal of its state, so no two keys
-            # name one state: int() alone also reads " 3 ", "+5", "03"
-            # and "1_0".
-            if idx is None or str(idx) != k:
-                raise DtmcError(f"label key {k!r} is not a state index")
-            items.append((idx, v))
+        # No two keys name one state.
+        items = [
+            (_decimal(k, f"label key {k!r} is not a state index"), v)
+            for k, v in raw_labels.items()
+        ]
     elif isinstance(raw_labels, list):
         items = list(enumerate(raw_labels))
     else:
@@ -348,7 +354,9 @@ def parse_prism_explicit(tra_text: str, lab_text: str) -> Dtmc:
     "src dst prob".  The .lab file starts with a declaration line of
     id="name" pairs, then "state: id id ..." lines.  The built-in labels
     init and deadlock are consumed but never become propositions; init
-    must mark exactly one state.
+    must mark exactly one state.  Every integer must be its plain ASCII
+    decimal, a probability a float written in ASCII without "_", and
+    each label id is declared once.
     """
     tra_lines = [ln.strip() for ln in tra_text.splitlines()]
     tra_lines = [ln for ln in tra_lines if ln]
@@ -357,16 +365,18 @@ def parse_prism_explicit(tra_text: str, lab_text: str) -> Dtmc:
     head = tra_lines[0].split()
     if len(head) != 2:
         raise DtmcError(f"bad .tra header {tra_lines[0]!r}")
-    try:
-        n, m_edges = int(head[0]), int(head[1])
-    except ValueError:
-        raise DtmcError(f"bad .tra header {tra_lines[0]!r}") from None
+    n, m_edges = (_decimal(tok, f"bad .tra header {tra_lines[0]!r}") for tok in head)
     edges = []
     for ln in tra_lines[1:]:
         parts = ln.split()
-        if len(parts) != 3:
-            raise DtmcError(f"bad .tra line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        bad = f"bad .tra line {ln!r}"
+        if len(parts) != 3 or "_" in parts[2] or not parts[2].isascii():
+            raise DtmcError(bad)
+        try:
+            p = float(parts[2])
+        except ValueError:
+            raise DtmcError(bad) from None
+        edges.append((_decimal(parts[0], bad), _decimal(parts[1], bad), p))
     if len(edges) != m_edges:
         raise DtmcError(f"header promises {m_edges} transitions, found {len(edges)}")
     _check_state_count(n, len(edges))
@@ -379,18 +389,21 @@ def parse_prism_explicit(tra_text: str, lab_text: str) -> Dtmc:
         if "=" not in part:
             raise DtmcError(f"bad .lab declaration {part!r}")
         num, name = part.split("=", 1)
-        id_to_name[int(num)] = name.strip('"')
+        i = _decimal(num, f"bad .lab declaration {part!r} in {lab_lines[0]!r}")
+        if i in id_to_name:
+            raise DtmcError(f"label id {i} declared twice in {lab_lines[0]!r}")
+        id_to_name[i] = name.strip('"')
     labels = [set() for _ in range(n)]
     init_states = []
     for ln in lab_lines[1:]:
         if ":" not in ln:
             raise DtmcError(f"bad .lab line {ln!r}")
         st_s, ids_s = ln.split(":", 1)
-        st = int(st_s)
+        st = _decimal(st_s, f"bad .lab line {ln!r}")
         if not 0 <= st < n:
             raise DtmcError(f"label line for out-of-range state {st}")
         for tok in ids_s.split():
-            name = id_to_name.get(int(tok))
+            name = id_to_name.get(_decimal(tok, f"bad .lab line {ln!r}"))
             if name is None:
                 raise DtmcError(f"undeclared label id {tok} on state {st}")
             if name == "init":
@@ -410,7 +423,15 @@ def parse_prism_explicit(tra_text: str, lab_text: str) -> Dtmc:
 
 
 def dtmc_to_prism(m: Dtmc) -> tuple[str, str]:
-    """Render (.tra text, .lab text)."""
+    """Render (.tra text, .lab text).
+
+    Raises DtmcError for a proposition that parse_prism_explicit would
+    not read back: init or deadlock, a name with whitespace, or one that
+    starts or ends with a double quote.
+    """
+    for a in m.ap:
+        if a in ("init", "deadlock") or a.strip('"') != a or any(ch.isspace() for ch in a):
+            raise DtmcError(f"proposition {a!r} cannot be a PRISM label")
     tra = [f"{m.n_states} {len(m.transitions)}"]
     tra += [f"{s} {t} {p!r}" for s, t, p in m.transitions]
     name_to_id = {"init": 0}

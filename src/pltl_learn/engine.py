@@ -20,15 +20,15 @@ that no transition crosses, and each part gets its own linear systems,
 the ones it would get alone; so a ``dtmc.disjoint_union`` is scored in
 one call, and each chain's slice of it takes that chain's own values.
 The size rule has one cutover, _SCC_MIN (64 unknowns).  A part with
-fewer undecided states is one dense system.  A larger one is split into
-strongly connected components, solved one at a time in reverse
-topological order (each after every component it reaches), so a
-block's right-hand side reads its solved successors.  A block below
-the cutover is a dense system for solve_linear; a block at or above it
-is solved by sparse elimination in Markowitz order, whose time and
-memory follow the block's nonzeros and fill-ins, so no system of
-_SCC_MIN or more unknowns is ever a dense matrix.  The values come back
-as one read-only memoryview over a float64 array.
+fewer undecided states is one block; a larger one is split into strongly
+connected components, solved one at a time in reverse topological order
+(each after every component it reaches), so a block's right-hand side
+reads its solved successors.  _system alone builds a block's system,
+once, as one {column: value} dict per row; a block below the cutover is
+solved as a dense matrix by solve_linear, one at or above it by sparse
+elimination in Markowitz order, whose time and memory follow its
+nonzeros and fill-ins.  The values come back as one read-only
+memoryview over a float64 array.
 
 Graph preprocessing pins impossible states to exactly 0.0 and almost-sure
 states to exactly 1.0, so downstream exact-equality tests on degenerate
@@ -207,52 +207,52 @@ def _blocks(rows, run: list[int]) -> list[list[int]]:
     return [[run[j] for j in comp] for comp in _sccs(succ)]
 
 
-def _solve_dense(rows, block: list[int], out: list[float]) -> list[float]:
-    """The block's values from one dense system (I - Q)x = c through
-    solve_linear: Q is the block's rows restricted to the block, and c
-    the mass they send to states already valued in out."""
+def _system(rows, block: list[int], out: list[float]):
+    """The block's system (I - Q)x = c, the only one built from rows:
+    U[j] is row j of I - Q as a {column: value} dict, Q the block's rows
+    restricted to the block, c the mass they send to states valued in out."""
     pos = {s: j for j, s in enumerate(block)}
-    k = len(block)
-    A = np.eye(k)
-    c = np.zeros(k)
-    for j, s in enumerate(block):
-        for t, q in rows[s]:
-            if t in pos:
-                A[j, pos[t]] -= q
-            elif out[t]:
-                # A successor outside the block is pinned or in a block
-                # solved before this one.
-                c[j] += q * out[t]
-    return solve_linear(A, c).tolist()
-
-
-def _solve_sparse(rows, block: list[int], out: list[float]) -> list[float]:
-    """The same system as _solve_dense, by sparse Gaussian elimination.
-
-    Each unknown keeps its row as one {column: value} dict, so time and
-    memory follow the nonzeros and their fill-ins, not k**2.  Pivots are
-    taken on the diagonal in Markowitz order (Markowitz, "The elimination
-    form of the inverse...", Management Science 1957): next comes the
-    unknown with the fewest (row nonzeros - 1) * (column nonzeros - 1),
-    from a heap whose stale entries are skipped.  A block here is an SCC
-    that leaks, so I - Q is a nonsingular M-matrix that is diagonally
-    dominant by rows, and its elimination needs no row exchanges.
-    solve_linear's contract holds: a pivot below 1e-12 raises
-    SingularSystemError naming the elimination step, and a residual
-    above 1e-9 * (1 + max|c|), taken over the block's rows, raises
-    LinearSolveError.
-    """
-    pos = {s: j for j, s in enumerate(block)}
-    k = len(block)
-    U: list[dict[int, float]] = [{j: 1.0} for j in range(k)]
-    c = [0.0] * k
+    U = [{j: 1.0} for j in range(len(block))]
+    c = [0.0] * len(block)
     for j, s in enumerate(block):
         for t, q in rows[s]:
             i = pos.get(t)
             if i is not None:
                 U[j][i] = U[j].get(i, 0.0) - q
             elif out[t]:
+                # A successor outside the block is pinned or in a block
+                # solved before this one.
                 c[j] += q * out[t]
+    return U, c
+
+
+def _solve_dense(U: list[dict[int, float]], c: list[float]) -> list[float]:
+    """_system's (U, c) as one dense matrix, through solve_linear.  Each
+    entry is written once, as the 1.0 - q or 0.0 - q that U holds."""
+    A = np.zeros((len(c), len(c)))
+    for j, row in enumerate(U):
+        for i, v in row.items():
+            A[j, i] = v
+    return solve_linear(A, np.array(c)).tolist()
+
+
+def _solve_sparse(U: list[dict[int, float]], c: list[float]) -> list[float]:
+    """_system's (U, c) by sparse Gaussian elimination of its row dicts,
+    in place, so time and memory follow the nonzeros and their fill-ins.
+
+    Pivots are taken on the diagonal in Markowitz order (Markowitz, "The
+    elimination form of the inverse...", Management Science 1957): next
+    comes the unknown with the fewest (row nonzeros - 1) * (column
+    nonzeros - 1), from a heap whose stale entries are skipped.  A block
+    here is an SCC that leaks, so I - Q is a nonsingular M-matrix,
+    diagonally dominant by rows, that needs no row exchanges.
+    solve_linear's contract holds: a pivot below 1e-12 raises
+    SingularSystemError naming the elimination step, and a residual
+    above 1e-9 * (1 + max|c|) against a copy of U as assembled, summed
+    left to right, raises LinearSolveError.
+    """
+    k = len(c)
+    A = [dict(row) for row in U]
     c0 = c.copy()
     # cols[j]: the rows not yet eliminated with an entry in column j.
     cols: list[set[int]] = [set() for _ in range(k)]
@@ -305,12 +305,9 @@ def _solve_sparse(rows, block: list[int], out: list[float]) -> list[float]:
                 acc -= v * x[j]
         x[p] = acc / U[p][p]
     resid = 0.0
-    for j, s in enumerate(block):
-        r = x[j] - c0[j]
-        for t, q in rows[s]:
-            i = pos.get(t)
-            if i is not None:
-                r -= q * x[i]
+    for row, r in zip(A, c0):
+        for i, v in row.items():
+            r -= v * x[i]
         resid = max(resid, abs(r))
     if not resid <= 1e-9 * (1.0 + max(map(abs, c0))):
         raise LinearSolveError(f"residual {resid} too large")
@@ -326,9 +323,10 @@ def _until_vec(rows, parts, a: list[bool], b: list[bool]) -> list[float]:
     part, so each part's systems are the ones it gives alone.  A
     part with at least _SCC_MIN undecided states is solved one SCC at a
     time, each block after the blocks it reaches, which are then known.
-    A block of fewer than _SCC_MIN unknowns, a whole part or one SCC, is
-    a dense system for solve_linear; a larger one, always an SCC, goes
-    to _solve_sparse.  Either way the values are clamped to [0, 1].
+    _system builds each block's system once; one of fewer than _SCC_MIN
+    unknowns (a whole part or one SCC) goes to _solve_dense, a larger
+    one (always an SCC) to _solve_sparse.  The values are clamped to
+    [0, 1].
     """
     n = len(rows)
     preds: list[list[int]] = [[] for _ in range(n)]
@@ -353,7 +351,7 @@ def _until_vec(rows, parts, a: list[bool], b: list[bool]) -> list[float]:
             continue
         for block in _blocks(rows, run):
             solve = _solve_sparse if len(block) >= _SCC_MIN else _solve_dense
-            for s, v in zip(block, solve(rows, block, out)):
+            for s, v in zip(block, solve(*_system(rows, block, out))):
                 out[s] = min(1.0, max(0.0, v))
     return out
 

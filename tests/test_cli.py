@@ -280,6 +280,28 @@ def test_prism_state_count_above_transitions_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "tra, lab, message",
+    [
+        ("2 2\n0 1 0.2_5\n1 1 1.0\n", '0="init"\n0: 0\n', "bad .tra line '0 1 0.2_5'"),
+        ("2 2\n0 1 1.0\n1 1 1.0\n", '0="init" 1="a"\n0: 0\nx: 1\n', "bad .lab line 'x: 1'"),
+        (
+            "2 2\n0 1 1.0\n1 1 1.0\n",
+            '0="init" 1="a" 1="b"\n0: 0\n',
+            "label id 1 declared twice in '0=\"init\" 1=\"a\" 1=\"b\"'",
+        ),
+    ],
+    ids=["prob-underscore", "state-word", "id-twice"],
+)
+def test_malformed_prism_exits_two_naming_the_line(tmp_path, capsys, tra, lab, message):
+    (tmp_path / "m.tra").write_text(tra)
+    (tmp_path / "m.lab").write_text(lab)
+    rc, out, err = run(capsys, "check", "--model", str(tmp_path / "m.tra"), "--formula", "F(a)")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # State 0 leaves its self-loop with mass 2e-13, so its row of the linear
 # system for F(a) has no pivot above the solver's 1e-12.
 _NEAR_ABSORBING = {

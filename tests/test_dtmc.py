@@ -237,8 +237,13 @@ def test_prism_two_state_example():
     assert m == _chain()
 
 
+def _named(name: str) -> Dtmc:
+    return _chain(ap=(name,), labels=(frozenset(), frozenset({name})))
+
+
 def test_prism_roundtrip():
-    for m in (reach_chain(0.3), safety_chain(0.0625), until_chain(0.875)):
+    odd = [_named(name) for name in ('b"c', "b=c", "init2", "Deadlock")]
+    for m in (reach_chain(0.3), safety_chain(0.0625), until_chain(0.875), *odd):
         tra, lab = dtmc_to_prism(m)
         assert parse_prism_explicit(tra, lab) == m
 
@@ -298,6 +303,48 @@ def test_prism_bad_label_lines():
         parse_prism_explicit(TINY_TRA, '0="init"\n5: 0\n')
     with pytest.raises(DtmcError, match="empty .lab"):
         parse_prism_explicit(TINY_TRA, "")
+
+
+# Each integer must be the plain ASCII decimal of its value, each
+# probability a float in ASCII without "_", and each label id declared
+# once.
+_MALFORMED_PRISM = {
+    "header-underscore": ("3 0_4\n", TINY_LAB, "bad .tra header '3 0_4'"),
+    "tra-underscore": ("2 2\n0 0_2 0.5\n1 1 1.0\n", TINY_LAB, "bad .tra line '0 0_2 0.5'"),
+    "tra-plus": ("2 2\n0 1 1.0\n+1 1 1.0\n", TINY_LAB, "bad .tra line '+1 1 1.0'"),
+    "tra-fullwidth": ("2 2\n0 1 1.0\n\uff11 1 1.0\n", TINY_LAB, "bad .tra line '\uff11 1 1.0'"),
+    "tra-prob-underscore": ("2 2\n0 1 0.2_5\n1 1 1.0\n", TINY_LAB, "bad .tra line '0 1 0.2_5'"),
+    "tra-prob-fullwidth": ("2 2\n0 1 \uff11.0\n1 1 1.0\n", TINY_LAB, "bad .tra line '0 1 \uff11.0'"),
+    "tra-prob-word": ("2 2\n0 1 one\n1 1 1.0\n", TINY_LAB, "bad .tra line '0 1 one'"),
+    "lab-state-underscore": (TINY_TRA, '0="init" 1="a"\n0: 0\n0_1: 1\n', "bad .lab line '0_1: 1'"),
+    "lab-id-plus": (TINY_TRA, '0="init" 1="a"\n0: 0\n1: +1\n', "bad .lab line '1: +1'"),
+    "lab-state-word": (TINY_TRA, '0="init" 1="a"\n0: 0\nx: 1\n', "bad .lab line 'x: 1'"),
+    "lab-declared-id": (
+        TINY_TRA,
+        '0="init" 0_1="a"\n0: 0\n',
+        "bad .lab declaration '0_1=\"a\"' in '0=\"init\" 0_1=\"a\"'",
+    ),
+    "lab-id-twice": (
+        TINY_TRA,
+        '0="init" 1="a" 1="b"\n0: 0\n1: 1\n',
+        "label id 1 declared twice in '0=\"init\" 1=\"a\" 1=\"b\"'",
+    ),
+}
+
+
+@pytest.mark.parametrize("tra, lab, message", _MALFORMED_PRISM.values(), ids=_MALFORMED_PRISM)
+def test_prism_rejects_loose_numbers_and_repeated_ids(tra, lab, message):
+    with pytest.raises(DtmcError) as e:
+        parse_prism_explicit(tra, lab)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("name", ["init", "deadlock", "b c", "b\tc", '"b', 'b"'])
+def test_prism_roundtrip_refuses_names_the_reader_cannot_read_back(name):
+    # The reader would take init as the initial state, drop deadlock,
+    # split a declaration at whitespace and strip edge quotes.
+    with pytest.raises(DtmcError, match="cannot be a PRISM label"):
+        dtmc_to_prism(_named(name))
 
 
 # ---------------------------------------------------------------------------

@@ -772,17 +772,15 @@ def _leaky_scc_block(rng: random.Random, k: int):
 def test_sparse_solve_matches_dense_elimination_on_random_blocks():
     rng = random.Random(83)
     for k in [64, 65, 100, 400] + [rng.randint(64, 400) for _ in range(12)]:
-        rows, block, out = _leaky_scc_block(rng, k)
-        pos = {s: j for j, s in enumerate(block)}
-        A, c = np.eye(k), np.zeros(k)
-        for j, s in enumerate(block):
-            for t, q in rows[s]:
-                if t in pos:
-                    A[j, pos[t]] -= q
-                else:
-                    c[j] += q * out[t]
-        got = engine._solve_sparse(rows, block, out)
-        assert np.max(np.abs(np.array(got) - chains.dense_solve(A, c))) <= 1e-12, k
+        U, c = engine._system(*_leaky_scc_block(rng, k))
+        # The dense view, taken before the sparse solve eliminates U in place.
+        A = np.zeros((k, k))
+        for j, row in enumerate(U):
+            for i, v in row.items():
+                A[j, i] = v
+        want = chains.dense_solve(A, c)
+        got = engine._solve_sparse(U, c)
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12, k
 
 
 @pytest.mark.parametrize("n", [150, 400])
@@ -791,9 +789,9 @@ def test_no_dense_system_reaches_the_cutover(n, monkeypatch):
     dense, sparse = [], []
     solve, solve_sparse = engine.solve_linear, engine._solve_sparse
 
-    def spy_sparse(rows, block, out):
-        sparse.append(len(block))
-        return solve_sparse(rows, block, out)
+    def spy_sparse(U, c):
+        sparse.append(len(c))
+        return solve_sparse(U, c)
 
     monkeypatch.setattr(engine, "solve_linear", lambda A, c: dense.append(len(c)) or solve(A, c))
     monkeypatch.setattr(engine, "_solve_sparse", spy_sparse)
