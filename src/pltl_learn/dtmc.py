@@ -65,22 +65,6 @@ class Dtmc:
             out[s].append((t, p))
         return tuple(tuple(r) for r in out)
 
-    @cached_property
-    def parts(self) -> tuple[int, ...]:
-        """The first state of each part: the chain is cut before each state
-        c that no transition crosses, so a run never leaves its part."""
-        # (s, t) crosses each c with min(s, t) < c <= max(s, t).
-        delta = [0] * (self.n_states + 1)
-        for s, t, _ in self.transitions:
-            delta[min(s, t) + 1] += 1
-            delta[max(s, t) + 1] -= 1
-        cuts, crossing = [0], 0
-        for c in range(1, self.n_states):
-            crossing += delta[c]
-            if not crossing:
-                cuts.append(c)
-        return tuple(cuts)
-
 
 def validate(m: Dtmc) -> list[str]:
     """Every structural problem in m, as human-readable strings."""
@@ -167,10 +151,10 @@ def disjoint_union(chains) -> Dtmc:
     """The chains side by side as one chain, in order.
 
     Every chain needs the same alphabet.  A chain's states are shifted
-    by the states of the chains before it, so no transition crosses into
-    another chain and each chain's first state starts a part.  The union
-    starts in the first chain's initial state.  A single chain is
-    returned unchanged.
+    by the states of the chains before it, so no transition joins two
+    chains and the engine solves each chain's states as it would alone.
+    The union starts in the first chain's initial state.  A single chain
+    is returned unchanged.
     """
     chains = list(chains)
     if not chains:

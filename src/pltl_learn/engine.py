@@ -15,19 +15,20 @@ are built only when they are first read, that is when a later round
 refines that chain again; the last round of a body never needs them.  A
 caller scoring many bodies on one chain can pass the same refinement log
 to every call, so the rounds a body shares with the previous one are not
-refined again.  A chain's parts (``Dtmc.parts``) are the runs of states
-that no transition crosses, and each part gets its own linear systems,
-the ones it would get alone; so a ``dtmc.disjoint_union`` is scored in
-one call, and each chain's slice of it takes that chain's own values.
-The size rule has one cutover, _SCC_MIN (64 unknowns).  A part with
-fewer undecided states is one block; a larger one is split into strongly
-connected components, solved one at a time in reverse topological order
-(each after every component it reaches), so a block's right-hand side
-reads its solved successors.  _system alone builds a block's system,
-once, as one {column: value} dict per row; a block below the cutover is
-solved as a dense matrix by solve_linear, one at or above it by sparse
-elimination in Markowitz order, whose time and memory follow its
-nonzeros and fill-ins.  The values come back as one read-only
+refined again.  A round's undecided states are split into components,
+the maximal sets linked by transitions in either direction, and each
+component gets its own linear systems, the ones it would get alone; no
+transition joins two chains of a ``dtmc.disjoint_union``, so a union is
+scored in one call and each chain's slice of it takes that chain's own
+values.  The size rule has one cutover, _SCC_MIN (64 unknowns).  A
+component of fewer states is one block; a larger one is split into
+strongly connected components, solved one at a time in reverse
+topological order (each after every component it reaches), so a block's
+right-hand side reads its solved successors.  _system alone builds a
+block's system, once, as one {column: value} dict per row; a block below
+the cutover is solved as a dense matrix by solve_linear, one at or above
+it by sparse elimination in Markowitz order, whose time and memory
+follow its nonzeros and fill-ins.  The values come back as one read-only
 memoryview over a float64 array.
 
 Graph preprocessing pins impossible states to exactly 0.0 and almost-sure
@@ -36,7 +37,6 @@ values are reliable.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -65,7 +65,7 @@ __all__ = [
 # the conditioned rows would otherwise divide by a vanishing factor.
 _BRANCH_EPS = 1e-12
 
-# A part with at least this many undecided states is solved SCC by SCC,
+# A component of at least this many undecided states is solved SCC by SCC,
 # and a block of at least this many by sparse elimination; smaller ones
 # are one dense system, which skips Tarjan's and the dicts' overhead.
 _SCC_MIN = 64
@@ -110,7 +110,7 @@ def solve_linear(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         x[k] = (rhs[k] - U[k, k + 1 :] @ x[k + 1 :]) / U[k, k]
     resid = float(np.max(np.abs(A0 @ x - c0)))
-    if resid > 1e-9 * (1.0 + float(np.max(np.abs(c0)))):
+    if not resid <= 1e-9 * (1.0 + float(np.max(np.abs(c0)))):
         raise LinearSolveError(f"residual {resid} too large")
     return x
 
@@ -314,25 +314,31 @@ def _solve_sparse(U: list[dict[int, float]], c: list[float]) -> list[float]:
     return x
 
 
-def _until_vec(rows, parts, a: list[bool], b: list[bool]) -> list[float]:
+def _preds(rows) -> list[list[int]]:
+    """Per-state predecessor lists: preds[t] holds every s with an edge
+    s -> t, in row order."""
+    preds: list[list[int]] = [[] for _ in rows]
+    for s, row in enumerate(rows):
+        for t, _ in row:
+            preds[t].append(s)
+    return preds
+
+
+def _until_vec(rows, preds, a: list[bool], b: list[bool]) -> list[float]:
     """Per-state probability of a U b: graph passes pin the states of
     probability 0 and 1 (Baier & Katoen, Principles of Model Checking,
     section 10.1), linear solves give the rest.
 
-    parts holds the first state of each part; no transition leaves its
-    part, so each part's systems are the ones it gives alone.  A
-    part with at least _SCC_MIN undecided states is solved one SCC at a
-    time, each block after the blocks it reaches, which are then known.
-    _system builds each block's system once; one of fewer than _SCC_MIN
-    unknowns (a whole part or one SCC) goes to _solve_dense, a larger
-    one (always an SCC) to _solve_sparse.  The values are clamped to
-    [0, 1].
+    The undecided states are split into components, each a maximal set
+    linked by transitions in either direction, taken in order of their
+    smallest state; a component's rows reach no undecided state outside
+    it, so its systems are the ones it gives alone.  A component of at
+    least _SCC_MIN states is solved one SCC at a time, each block after
+    the blocks it reaches, which are then known.  _system builds each
+    block's system once; one of fewer than _SCC_MIN unknowns (a whole
+    component or one SCC) goes to _solve_dense, a larger one (always an
+    SCC) to _solve_sparse.  The values are clamped to [0, 1].
     """
-    n = len(rows)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for s, row in enumerate(rows):
-        for t, _ in row:
-            preds[t].append(s)
     pending = [x and not y for x, y in zip(a, b)]
     # Positive probability: b is reachable through pending states.
     reach = _reach_back(preds, b, pending)
@@ -340,19 +346,28 @@ def _until_vec(rows, parts, a: list[bool], b: list[bool]) -> list[float]:
     unsafe = _reach_back(preds, [not x for x in reach], pending)
 
     out = [1.0 if x and not y else 0.0 for x, y in zip(reach, unsafe)]
-    maybe = [i for i in range(n) if reach[i] and unsafe[i]]
-    # A part's states are one contiguous run, so its maybe-states are
-    # too: the part's run ends below the next part's first state.
-    lo = 0
-    for end in (*parts[1:], n):
-        hi = bisect_left(maybe, end, lo)
-        run, lo = maybe[lo:hi], hi
-        if not run:
+    # Undecided states not yet in a component.
+    free = [x and y for x, y in zip(reach, unsafe)]
+    for s, x in enumerate(free):
+        if not x:
             continue
-        for block in _blocks(rows, run):
+        free[s] = False
+        comp = [s]
+        # The loop also visits the states appended while it runs.
+        for u in comp:
+            for t, _ in rows[u]:
+                if free[t]:
+                    free[t] = False
+                    comp.append(t)
+            for t in preds[u]:
+                if free[t]:
+                    free[t] = False
+                    comp.append(t)
+        comp.sort()
+        for block in _blocks(rows, comp):
             solve = _solve_sparse if len(block) >= _SCC_MIN else _solve_dense
-            for s, v in zip(block, solve(*_system(rows, block, out))):
-                out[s] = min(1.0, max(0.0, v))
+            for i, v in zip(block, solve(*_system(rows, block, out))):
+                out[i] = min(1.0, max(0.0, v))
     return out
 
 
@@ -372,22 +387,25 @@ class RefinedChain:
     temporal subformula, and ``columns`` maps each name or subformula
     node to its column.  ``rows`` are conditioned transitions and each
     row sums to one; ``build_rows`` makes them on first read, which only
-    a later round that refines this chain further does.  Copies stay in
-    origin order, so the copies of each part of the original chain (a
-    run of states that no transition crosses, ``Dtmc.parts``) form one
-    contiguous run; ``parts`` holds the first copy of each part.
+    a later round that refines this chain further does; ``preds`` are
+    their predecessor lists, built once.  A copy steps only to itself or
+    to copies of its state's successors, so the chains of a
+    ``dtmc.disjoint_union`` stay apart in every refinement.
     """
 
     origin: np.ndarray
     weights: np.ndarray
     labels: np.ndarray
     columns: dict[str | LtlFormula, int]
-    parts: tuple[int, ...]
     build_rows: Callable[[], Sequence[Sequence[tuple[int, float]]]]
 
     @cached_property
     def rows(self) -> Sequence[Sequence[tuple[int, float]]]:
         return self.build_rows()
+
+    @cached_property
+    def preds(self) -> list[list[int]]:
+        return _preds(self.rows)
 
 
 @dataclass(frozen=True)
@@ -415,7 +433,6 @@ def initial_refinement(m: Dtmc) -> RefinedChain:
         weights=np.ones(n),
         labels=labels.reshape(n, len(m.ap)),
         columns={a: j for j, a in enumerate(m.ap)},
-        parts=m.parts,
         build_rows=lambda: m.rows,
     )
 
@@ -496,9 +513,9 @@ def _prophecy_vector(r: RefinedChain, psi: LtlFormula) -> list[float]:
         return _next_vec(r.rows, b)
     if isinstance(psi, Globally):
         # G phi holds unless the run reaches a !phi state.
-        reach_bad = _until_vec(r.rows, r.parts, [True] * len(a), [not x for x in a])
+        reach_bad = _until_vec(r.rows, r.preds, [True] * len(a), [not x for x in a])
         return [1.0 - v for v in reach_bad]
-    return _until_vec(r.rows, r.parts, a, b)
+    return _until_vec(r.rows, r.preds, a, b)
 
 
 def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -> RefinedChain:
@@ -517,7 +534,6 @@ def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -
     p = np.fmin(1.0, np.fmax(0.0, np.asarray(p, dtype=float)))
     factor = np.array((p, 1.0 - p)).T
     # Copies in order of parent, positive copy first; side 0 is positive.
-    # Parents stay in order, so copies stay in origin order.
     parent, side = np.nonzero(factor >= _BRANCH_EPS)
 
     def build_rows() -> list[list[tuple[int, float]]]:
@@ -554,7 +570,6 @@ def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -
         weights=r.weights[parent] * factor[parent, side],
         labels=np.concatenate((r.labels[parent], (side == 0)[:, None]), axis=1),
         columns={**r.columns, psi: r.labels.shape[1]},
-        parts=(0, *(bisect_left(parent, start) for start in r.parts[1:])),
         build_rows=build_rows,
     )
 

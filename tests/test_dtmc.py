@@ -360,7 +360,6 @@ def test_project_drops_foreign_labels():
     assert p.ap == ("a",)
     assert p.labels == (frozenset(), frozenset({"a"}))
     assert p.transitions == m.transitions
-    assert p.parts == (0,)
 
 
 def _bold30() -> Dtmc:
@@ -386,45 +385,7 @@ def test_unlabelled_states_share_one_empty_set(build):
 
 
 # ---------------------------------------------------------------------------
-# Parts and disjoint unions
-
-
-def test_chain_is_one_part_by_default():
-    assert _chain().parts == (0,)
-
-
-def _bare(n, *edges) -> Dtmc:
-    return _chain(n_states=n, labels=(frozenset(),) * n, transitions=edges)
-
-
-@pytest.mark.parametrize(
-    "m, parts",
-    [
-        (_bare(3, (0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)), (0,)),
-        (_bare(3, (0, 1, 0.5), (0, 0, 0.5), (1, 0, 1.0), (2, 2, 1.0)), (0, 2)),
-        (_bare(3, (0, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)), (0, 1)),
-        (_bare(3, (0, 1, 1.0), (1, 0, 1.0), (2, 2, 0.5), (2, 0, 0.5)), (0,)),
-        (_bare(4, (0, 3, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0)), (0,)),
-        (_bare(4, (0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0)), (0, 1, 2, 3)),
-        (
-            disjoint_union(
-                [_bare(2, (0, 1, 1.0), (1, 1, 1.0)), _bare(3, (0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0))]
-            ),
-            (0, 2, 4),
-        ),
-    ],
-    ids=[
-        "one-piece",
-        "trailing-absorbing",
-        "leading-absorbing",
-        "backward-edge-spans-cut",
-        "long-edge-spans-cuts",
-        "all-absorbing",
-        "union",
-    ],
-)
-def test_parts_are_the_runs_no_transition_crosses(m, parts):
-    assert m.parts == parts
+# Disjoint unions
 
 
 def test_disjoint_union_shifts_each_chain():
@@ -435,7 +396,6 @@ def test_disjoint_union_shifts_each_chain():
         transitions=((0, 2, 0.5), (0, 1, 0.5), (1, 1, 1.0), (2, 0, 1.0)),
     )
     u = disjoint_union([left, right, left])
-    assert u.parts == (0, 2, 5)
     assert (u.n_states, u.init, u.ap) == (7, 1, ("a",))
     assert u.labels == left.labels + right.labels + left.labels
     assert u.transitions == (
@@ -443,9 +403,6 @@ def test_disjoint_union_shifts_each_chain():
         (2, 4, 0.5), (2, 3, 0.5), (3, 3, 1.0), (4, 2, 1.0),
         (5, 6, 1.0), (6, 6, 1.0),
     )
-    # a union's parts stay parts, and projection keeps them
-    assert disjoint_union([u, left]).parts == (0, 2, 5, 7)
-    assert project(u, ("a", "b")).parts == u.parts
 
 
 def test_disjoint_union_of_one_chain_is_that_chain():
