@@ -2,9 +2,10 @@
 
 Three cooperating pieces:
 
-* a size-and-depth indexed enumerator of canonical NNF formulas that
-  skips syntactic redundancy (rewrite rules, commutative duplicates,
-  complement combinations),
+* an enumerator of canonical NNF formulas that builds each size's
+  layer in one pass over the smaller layers, keeps it split by temporal
+  depth in scan order, and skips syntactic redundancy (rewrite rules,
+  commutative duplicates, complement combinations),
 * a per-size scan that evaluates every candidate body on every chain and
   returns the widest-margin thresholded atoms once some body separates
   the sample by more than delta,
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, product
 from typing import ClassVar
 
 from .dtmc import Dtmc, Sample, disjoint_union
@@ -78,9 +79,12 @@ class LearnConfig:
     delta is the required margin between the worst positive and best
     negative probability before a single atom counts as consistent.
     bool_limit caps the high-score list used for Boolean combinations.
-    eager_return stops at the first consistent formula instead of
-    finishing the size level; all_minimal reports every consistent atom
-    at the winning size rather than only the widest-margin ones.
+    A consistent single atom ends the search at its size either way;
+    eager_return also ends it at the first Boolean combination found,
+    where the search would otherwise go on through the sizes below the
+    combination's, looking for a smaller formula.  all_minimal reports
+    every consistent atom at the winning size rather than only the
+    widest-margin ones.
     """
 
     max_size: int
@@ -173,7 +177,13 @@ class NoSolutionError(Exception):
 
 @dataclass
 class SearchState:
-    """Formula buckets indexed by size, then by temporal depth."""
+    """Formula layers indexed by size, each split by temporal depth.
+
+    buckets[n][d] holds the kept size-n formulas of depth d, sorted by
+    printed form, so a layer read depth by depth is in scan order.  A
+    size-n formula nests at most n - 1 temporal operators, so buckets[n]
+    has min(max_depth, n - 1) + 1 lists.
+    """
 
     ap: tuple[str, ...]
     max_depth: int
@@ -192,23 +202,22 @@ def gbe_init(ap, max_depth: int = 2, stats: RunStats | None = None) -> SearchSta
         buckets={},
         stats=stats if stats is not None else RunStats(),
     )
-    layer = [[] for _ in range(max_depth + 1)]
-    for name in state.ap:
-        for lit in (Lit(name, True), Lit(name, False)):
-            state.stats.add("constructed", 1)
-            layer[0].append(lit)
-    state.buckets[1] = layer
+    lits = [lit for name in ap for lit in (Lit(name, True), Lit(name, False))]
+    state.stats.add("constructed", 1, len(lits))
+    state.buckets[1] = [sorted(lits, key=print_ltl)]
     return state
 
 
 def gbe_step(state: SearchState, n: int) -> None:
-    """Fill the size-n layer from the smaller layers already present.
+    """Build the size-n layer in one pass from the smaller layers present.
 
-    Unary operators lift size n-1; binary ones combine sizes k and
-    n-1-k.  Depth bookkeeping pairs the buckets so each combination is
-    produced exactly once per operand multiset; commutativity of & and |
-    is covered by join, which orders the chain of canonical operands, plus
-    the duplicate check.  Formulas leave a layer only through
+    X, F and G lift each size-(n-1) formula shallower than max_depth.
+    For each split k, every pair of a size-k and a size-(n-1-k) formula
+    is joined by & and | when the left operand is at least as deep as
+    the right (join orders the operands, so the other pairs repeat
+    these), and by U when both are shallower than max_depth.  A kept
+    candidate goes to the list for its depth, and each list is sorted by
+    printed form once it is full.  Formulas leave a layer only through
     remove_formulas.
     """
     if n < 2:
@@ -220,60 +229,47 @@ def gbe_step(state: SearchState, n: int) -> None:
         raise ValueError(f"smaller layers missing: {missing}")
     D = state.max_depth
     bk = state.buckets
-    new: list[list[LtlFormula]] = [[] for _ in range(D + 1)]
+    new: list[list[LtlFormula]] = [[] for _ in range(min(D, n - 1) + 1)]
     stats = state.stats
     # Every candidate has size n and formulas of different sizes differ,
     # so a duplicate can only be one built earlier in this step.
     seen: set[LtlFormula] = set()
 
-    def consider(sink: list[LtlFormula], c: LtlFormula, operands=None) -> None:
-        stats.add("constructed", c.size)
+    def consider(c: LtlFormula, operands=None) -> None:
+        stats.add("constructed", n)
         if temporal_simplify_applies(c):
-            stats.add("pruned_temporal", c.size)
+            stats.add("pruned_temporal", n)
             return
         if operands is not None and boolean_simplify_applies(*operands):
-            stats.add("pruned_boolean", c.size)
+            stats.add("pruned_boolean", n)
             return
         if c in seen:
             # Commutative / associative duplicate of an earlier candidate.
-            stats.add("pruned_boolean", c.size)
+            stats.add("pruned_boolean", n)
             return
         seen.add(c)
-        sink.append(c)
+        new[c.depth].append(c)
 
-    for d in range(D + 1):
-        sink = new[d]
-        if d >= 1:
-            for child in bk[n - 1][d - 1]:
-                consider(sink, Next(child))
-                consider(sink, Finally(child))
-                consider(sink, Globally(child))
-        for k in range(1, n - 1):
-            lhs, rhs = bk[k], bk[n - 1 - k]
-            for left in lhs[d]:
-                for d2 in range(d + 1):
-                    for right in rhs[d2]:
-                        consider(sink, join(And, left, right), (left, right))
-                        consider(sink, join(Or, left, right), (left, right))
-            if d >= 1:
-                for left in lhs[d - 1]:
-                    for d2 in range(d):
-                        for right in rhs[d2]:
-                            consider(sink, Until(left, right), (left, right))
-                for d2 in range(d - 1):
-                    for left in lhs[d2]:
-                        for right in rhs[d - 1]:
-                            consider(sink, Until(left, right), (left, right))
+    for child in chain.from_iterable(bk[n - 1]):
+        if child.depth < D:
+            consider(Next(child))
+            consider(Finally(child))
+            consider(Globally(child))
+    for k in range(1, n - 1):
+        for pair in product(chain.from_iterable(bk[k]), chain.from_iterable(bk[n - 1 - k])):
+            left, right = pair
+            if left.depth >= right.depth:
+                consider(join(And, left, right), pair)
+                consider(join(Or, left, right), pair)
+            if left.depth < D and right.depth < D:
+                consider(Until(left, right), pair)
 
-    state.buckets[n] = new
+    state.buckets[n] = [sorted(layer, key=print_ltl) for layer in new]
 
 
 def size_bucket(state: SearchState, n: int) -> list[LtlFormula]:
-    """The size-n formulas in scan order: by depth, then printed form."""
-    out: list[LtlFormula] = []
-    for layer in state.buckets[n]:
-        out.extend(sorted(layer, key=print_ltl))
-    return out
+    """A new list of the size-n formulas in scan order: by depth, then printed form."""
+    return list(chain.from_iterable(state.buckets[n]))
 
 
 def remove_formulas(state: SearchState, n: int, formulas) -> None:

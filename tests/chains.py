@@ -57,7 +57,7 @@ def dense_solve(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         x[k] = (rhs[k] - U[k, k + 1 :] @ x[k + 1 :]) / U[k, k]
     resid = float(np.max(np.abs(A0 @ x - c0)))
-    if resid > 1e-9 * (1.0 + float(np.max(np.abs(c0)))):
+    if not resid <= 1e-9 * (1.0 + float(np.max(np.abs(c0)))):
         raise LinearSolveError(f"residual {resid} too large")
     return x
 

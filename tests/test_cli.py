@@ -76,6 +76,18 @@ def test_learn_exhaustion_exit_code(tmp_path, capsys):
     assert "no formula in the search space (K=4, D=2, delta=0.05)" in err
 
 
+def test_learn_huge_depth_bound_reports_exhaustion(tmp_path, capsys):
+    m = reach_chain(0.5)
+    write_sample(Sample.build([m], [m]), tmp_path)
+    rc, out, err = run(
+        capsys, "learn", "--sample", str(tmp_path / "manifest.json"),
+        "-K", "4", "-D", "1000000000",
+    )
+    assert rc == 1
+    assert out == ""
+    assert "no formula in the search space (K=4, D=1000000000, delta=0.05)" in err
+
+
 def test_learn_requires_some_size_bound(tmp_path, capsys):
     m = reach_chain(0.3)
     write_sample(Sample.build([reach_chain(1.0)], [m]), tmp_path)

@@ -81,9 +81,11 @@ def test_solve_singular():
     ids=["nan-pivot", "nan-entry", "inf-rhs"],
 )
 def test_solve_non_finite_solution_is_a_linear_solve_error(A, c):
-    # A NaN residual compares False with any bound.
-    with pytest.raises(LinearSolveError, match="residual"), np.errstate(invalid="ignore"):
-        solve_linear(np.array(A), np.array(c))
+    # A NaN residual compares False with any bound; the oracle checks it
+    # the same way.
+    for solve in (solve_linear, chains.dense_solve):
+        with pytest.raises(LinearSolveError, match="residual"), np.errstate(invalid="ignore"):
+            solve(np.array(A), np.array(c))
 
 
 def test_solve_shape_mismatch():

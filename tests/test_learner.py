@@ -165,6 +165,26 @@ def test_gbe_counters_balance_bucket_sizes():
         )
 
 
+@pytest.mark.parametrize("max_depth", [0, 2, 50])
+def test_layers_are_no_deeper_than_their_size_allows(max_depth):
+    # A size-n formula nests at most n - 1 temporal operators.
+    state = gbe_init(("a", "b"), max_depth)
+    for n in range(2, 6):
+        gbe_step(state, n)
+    for n in range(1, 6):
+        assert len(state.buckets[n]) == min(max_depth, n - 1) + 1
+
+
+def test_depth_bound_past_the_size_bound_changes_nothing():
+    shallow = learn(until_sample(), LearnConfig(max_size=4, max_depth=3))
+    deep = learn(until_sample(), LearnConfig(max_size=4, max_depth=10**9))
+    assert deep.formulas == shallow.formulas
+    assert deep.margins == shallow.margins
+    assert deep.size == shallow.size
+    for counter in RunStats.PER_SIZE:
+        assert getattr(deep.stats, counter) == getattr(shallow.stats, counter), counter
+
+
 def _buckets(ap, max_depth, max_size):
     state = gbe_init(ap, max_depth)
     for n in range(2, max_size + 1):
@@ -173,8 +193,8 @@ def _buckets(ap, max_depth, max_size):
 
 
 def test_enumerated_buckets_are_pinned():
-    # Every member, in bucket order, of two enumerations; the digest was
-    # taken before candidates were built canonical by construction.
+    # Every member, in bucket order (depth, then printed form), of two
+    # enumerations.
     h = hashlib.sha256()
     for ap, max_depth, max_size in ((("a", "b", "c"), 2, 5), (("p",), 4, 6)):
         buckets = _buckets(ap, max_depth, max_size)
@@ -182,7 +202,7 @@ def test_enumerated_buckets_are_pinned():
             for d, layer in enumerate(buckets[n]):
                 for f in layer:
                     h.update(f"{n} {d} {print_ltl(f)}\n".encode())
-    assert h.hexdigest() == "72523e297d9b8a6c831c568b2358ad8ea255ba0e7c9fce103a6521516ae53b75"
+    assert h.hexdigest() == "8f29cd96dbac4bcbaf4d528865d709819213a349d09c59980aad73700dc35682"
 
 
 def _is_canonical(f) -> bool:
