@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 __all__ = [
     "Dtmc",
@@ -108,6 +109,12 @@ class Sample:
     the sample alphabet is given explicitly and every chain keeps only
     the listed propositions; names a chain never declares are simply
     false there.
+
+    The learner scores the chains side by side.  What that needs is
+    worked out on first read and cached, as ``Dtmc.rows`` is, so every
+    size of a search shares it: ``distinct`` keeps each content once,
+    ``slots`` says which of them each chain is, ``union`` is their
+    ``disjoint_union`` and ``starts`` their first states in it.
     """
 
     positive: tuple[Dtmc, ...]
@@ -117,6 +124,30 @@ class Sample:
     def __post_init__(self):
         if not self.positive or not self.negative:
             raise DtmcError("a sample needs at least one chain on each side")
+
+    @cached_property
+    def slots(self) -> tuple[int, ...]:
+        """For each chain, positives then negatives, its index in distinct."""
+        index: dict[Dtmc, int] = {}
+        return tuple(index.setdefault(m, len(index)) for m in (*self.positive, *self.negative))
+
+    @cached_property
+    def distinct(self) -> tuple[Dtmc, ...]:
+        """The chains with equal content kept once, in order of first
+        appearance among positives then negatives."""
+        chains = (*self.positive, *self.negative)
+        # slots numbers the contents in order of first appearance.
+        return tuple(chains[self.slots.index(k)] for k in range(max(self.slots) + 1))
+
+    @cached_property
+    def union(self) -> Dtmc:
+        """The distinct chains side by side, as one chain."""
+        return disjoint_union(self.distinct)
+
+    @cached_property
+    def starts(self) -> tuple[int, ...]:
+        """distinct[k] is states starts[k] up to starts[k + 1] of union."""
+        return tuple(accumulate((m.n_states for m in self.distinct), initial=0))
 
     @staticmethod
     def build(
@@ -268,7 +299,7 @@ def parse_json_dtmc(text: str) -> Dtmc:
     Expected keys: states (int), init (int), ap (list of names), labels
     (map from a state index written as its plain decimal, or list, to
     lists of names), transitions (list of [src, dst, prob]: integers and
-    a number, none of them true or false).
+    a number within the float range, none of them true or false).
     """
     try:
         doc = json.loads(text)
@@ -287,7 +318,12 @@ def parse_json_dtmc(text: str) -> Dtmc:
     for row in _json(doc["transitions"], list, "transitions"):
         if not (_is(row, list) and len(row) == 3 and all(map(_is, row, (int, int, (int, float))))):
             raise DtmcError(f"transition row {json.dumps(row)} is not [src, dst, prob]")
-        edges.append((row[0], row[1], float(row[2])))
+        try:
+            p = float(row[2])
+        except OverflowError:
+            # An integer past the float range, such as 1 and 400 zeros.
+            raise DtmcError(f"transition row {json.dumps(row)} has a probability out of range") from None
+        edges.append((row[0], row[1], p))
     _check_state_count(n, len(edges))
     raw_labels = doc["labels"]
     if isinstance(raw_labels, dict):

@@ -15,12 +15,13 @@ are built only when they are first read, that is when a later round
 refines that chain again; the last round of a body never needs them.  A
 caller scoring many bodies on one chain can pass the same refinement log
 to every call, so the rounds a body shares with the previous one are not
-refined again.  A round's undecided states are split into components,
-the maximal sets linked by transitions in either direction, and each
-component gets its own linear systems, the ones it would get alone; no
-transition joins two chains of a ``dtmc.disjoint_union``, so a union is
-scored in one call and each chain's slice of it takes that chain's own
-values.  The size rule has one cutover, _SCC_MIN (64 unknowns).  A
+refined again; a RefinementLog also keeps the chain's initial
+refinement, so it is built once for all of them.  A round's undecided
+states are split into components, the maximal sets linked by
+transitions in either direction, and each component gets its own linear
+systems, the ones it would get alone; no transition joins two chains of
+a ``dtmc.disjoint_union``, so a union is scored in one call and each
+chain's slice of it takes that chain's own values.  The size rule has one cutover, _SCC_MIN (64 unknowns).  A
 component of fewer states is one block; a larger one is split into
 strongly connected components, solved one at a time in reverse
 topological order (each after every component it reaches), so a block's
@@ -54,6 +55,7 @@ __all__ = [
     "solve_linear",
     "ProbVector",
     "RefinedChain",
+    "RefinementLog",
     "initial_refinement",
     "refine",
     "temporal_subformulas",
@@ -425,6 +427,18 @@ class ProbVector:
         return f"ProbVector(values={tuple(self.values)!r}, init={self.init!r})"
 
 
+class RefinementLog(list):
+    """A refinement log for check_ltl that also keeps its chain's root.
+
+    The entries are check_ltl's (subformula, refined chain) pairs, as in
+    a plain list.  root is the chain's initial refinement, built by the
+    first call that starts from it and reused by every later call on
+    the same chain, bodies with no temporal subformula included.
+    """
+
+    root: RefinedChain | None = None
+
+
 def initial_refinement(m: Dtmc) -> RefinedChain:
     n = m.n_states
     labels = np.array([a in lab for lab in m.labels for a in m.ap], dtype=bool)
@@ -588,8 +602,12 @@ def check_ltl(
     longest leading run of pairs whose subformulas equal the leading
     entries of temporal_subformulas(f) is reused, the rest of the log is
     deleted, and only the remaining rounds are refined and appended.
-    The result is the same as without a log, since each round depends
-    only on m and the subformulas resolved before it.
+    When no pair is reused the rounds start from m's initial refinement,
+    the log's root: a RefinementLog keeps it once built, so every call
+    on m with that log shares one, while a plain list keeps only the
+    pairs and each such call builds the root again.  The result is the
+    same as without a log, since each round depends only on m and the
+    subformulas resolved before it.
     """
     rounds = temporal_subformulas(f)
     log = refinement_log
@@ -598,7 +616,14 @@ def check_ltl(
         while keep < min(len(log), len(rounds)) and log[keep][0] == rounds[keep]:
             keep += 1
         del log[keep:]
-    r = log[-1][1] if keep else initial_refinement(m)
+    if keep:
+        r = log[-1][1]
+    elif isinstance(log, RefinementLog):
+        if log.root is None:
+            log.root = initial_refinement(m)
+        r = log.root
+    else:
+        r = initial_refinement(m)
     for psi in rounds[keep:]:
         r = refine(r, psi, _prophecy_vector(r, psi), psi)
         if log is not None:

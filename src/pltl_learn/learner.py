@@ -22,11 +22,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, product
+from itertools import chain, product
 from typing import ClassVar
 
-from .dtmc import Dtmc, Sample, disjoint_union
-from .engine import LinearSolveError, check_ltl, trie_key
+import numpy as np
+
+from .dtmc import Dtmc, Sample
+from .engine import LinearSolveError, RefinementLog, check_ltl, trie_key
 from .ltl import (
     And,
     Finally,
@@ -215,7 +217,10 @@ def gbe_step(state: SearchState, n: int) -> None:
     For each split k, every pair of a size-k and a size-(n-1-k) formula
     is joined by & and | when the left operand is at least as deep as
     the right (join orders the operands, so the other pairs repeat
-    these), and by U when both are shallower than max_depth.  A kept
+    these), and by U when both are shallower than max_depth.  Whether a
+    pair's operands collapse (boolean_simplify_applies) is asked once
+    for all three; a candidate its temporal rules prune still counts as
+    pruned_temporal.  A kept
     candidate goes to the list for its depth, and each list is sorted by
     printed form once it is full.  Formulas leave a layer only through
     remove_formulas.
@@ -235,16 +240,14 @@ def gbe_step(state: SearchState, n: int) -> None:
     # so a duplicate can only be one built earlier in this step.
     seen: set[LtlFormula] = set()
 
-    def consider(c: LtlFormula, operands=None) -> None:
+    def consider(c: LtlFormula, collapses: bool = False) -> None:
         stats.add("constructed", n)
         if temporal_simplify_applies(c):
             stats.add("pruned_temporal", n)
             return
-        if operands is not None and boolean_simplify_applies(*operands):
-            stats.add("pruned_boolean", n)
-            return
-        if c in seen:
-            # Commutative / associative duplicate of an earlier candidate.
+        if collapses or c in seen:
+            # Operands equal or complementary, or a commutative /
+            # associative duplicate of an earlier candidate.
             stats.add("pruned_boolean", n)
             return
         seen.add(c)
@@ -256,13 +259,18 @@ def gbe_step(state: SearchState, n: int) -> None:
             consider(Finally(child))
             consider(Globally(child))
     for k in range(1, n - 1):
-        for pair in product(chain.from_iterable(bk[k]), chain.from_iterable(bk[n - 1 - k])):
-            left, right = pair
-            if left.depth >= right.depth:
-                consider(join(And, left, right), pair)
-                consider(join(Or, left, right), pair)
-            if left.depth < D and right.depth < D:
-                consider(Until(left, right), pair)
+        for left, right in product(chain.from_iterable(bk[k]), chain.from_iterable(bk[n - 1 - k])):
+            boolean = left.depth >= right.depth
+            until = left.depth < D and right.depth < D
+            if not (boolean or until):
+                continue
+            # The same for &, | and U, so asked once per pair.
+            collapses = boolean_simplify_applies(left, right)
+            if boolean:
+                consider(join(And, left, right), collapses)
+                consider(join(Or, left, right), collapses)
+            if until:
+                consider(Until(left, right), collapses)
 
     state.buckets[n] = [sorted(layer, key=print_ltl) for layer in new]
 
@@ -311,11 +319,12 @@ def pts(
     initial-state values.
 
     Chains with equal content are evaluated once, and the distinct ones
-    side by side: each body is one check_ltl call on their disjoint
-    union, where each chain's slice takes the values it takes alone.  The
-    bodies go through check_ltl with one shared refinement log in
-    engine.trie_key order, so each shared prefix is refined once and
-    only one path of refined chains is alive at a time.  The scan itself
+    side by side: each body is one check_ltl call on sample.union, built
+    once per sample, where each chain's slice takes the values it takes
+    alone.  The bodies go through check_ltl with one RefinementLog in
+    engine.trie_key order, so the union's initial refinement is built
+    once per call of pts, each shared prefix is refined once, and only
+    one path of refined chains is alive at a time.  The scan itself
     then runs in the given order over each chain's (init, all 0, all 1)
     summary, read from that chain's slice of the union's values.  When
     the union's solve fails, the body is scored again on each distinct
@@ -324,22 +333,17 @@ def pts(
     positive and negative chains.
     """
     formulas = list(formulas)
-    chains = [("positive", i, m) for i, m in enumerate(sample.positive)]
-    chains += [("negative", i, m) for i, m in enumerate(sample.negative)]
-    slots: dict[Dtmc, int] = {}
-    slot_of = [slots.setdefault(m, len(slots)) for _, _, m in chains]
-    distinct = list(slots)
-    union = disjoint_union(distinct)
-    # distinct[slot] is states starts[slot] up to starts[slot + 1] of union.
-    starts = list(accumulate((m.n_states for m in distinct), initial=0))
+    chains = [("positive", i) for i in range(len(sample.positive))]
+    chains += [("negative", i) for i in range(len(sample.negative))]
+    distinct, starts = sample.distinct, sample.starts
     walk = sorted(range(len(formulas)), key=lambda j: trie_key(formulas[j]))
     # scores[slot][j]: (init, all values == 0.0, all values == 1.0), or
     # the solver error, of body j on that chain.
     scores: list[list] = [[None] * len(formulas) for _ in distinct]
-    log: list = []
+    log = RefinementLog()
     for j in walk:
         try:
-            v = check_ltl(union, formulas[j], log).values
+            v = check_ltl(sample.union, formulas[j], log).values
         except LinearSolveError:
             # Find the failing chains by scoring each alone.
             for slot, m in enumerate(distinct):
@@ -357,7 +361,7 @@ def pts(
     kept: list[tuple[LtlFormula, tuple[float, ...], tuple[float, ...]]] = []
     for j, f in enumerate(formulas):
         got = []
-        for (role, i, _), slot in zip(chains, slot_of):
+        for (role, i), slot in zip(chains, sample.slots):
             score = scores[slot][j]
             if isinstance(score, LinearSolveError):
                 raise EngineFailure(f, role, i, score) from score
@@ -493,20 +497,38 @@ class LearnResult:
     stats: RunStats
 
 
-def pltl_holds(m: Dtmc, f: PltlFormula) -> bool:
-    """Whether the chain satisfies the threshold formula."""
+def _holds(f: PltlFormula, m: Dtmc, states: list[int]) -> np.ndarray:
+    """Whether f holds from each of the given states of m: one check_ltl
+    call per atom, whose values at those states are compared with its
+    threshold, and the atoms' truths folded with & and |."""
     if isinstance(f, PltlAtom):
-        return check_ltl(m, f.body).init > f.threshold
-    if isinstance(f, PltlAnd):
-        return pltl_holds(m, f.left) and pltl_holds(m, f.right)
-    return pltl_holds(m, f.left) or pltl_holds(m, f.right)
+        return np.asarray(check_ltl(m, f.body).values)[states] > f.threshold
+    left, right = _holds(f.left, m, states), _holds(f.right, m, states)
+    return left & right if isinstance(f, PltlAnd) else left | right
+
+
+def pltl_holds(m: Dtmc, f: PltlFormula) -> bool:
+    """Whether the chain satisfies the threshold formula: every atom is
+    checked on m, and its value at m's initial state compared with its
+    threshold."""
+    return bool(_holds(f, m, [m.init])[0])
 
 
 def check_consistency(f: PltlFormula, sample: Sample) -> bool:
-    """True iff f holds on every positive chain and no negative one."""
-    return all(pltl_holds(m, f) for m in sample.positive) and not any(
-        pltl_holds(m, f) for m in sample.negative
-    )
+    """True iff f holds on every positive chain and no negative one.
+
+    Each atom is one check_ltl call on sample.union, and a chain's value
+    is read at its own initial state within its slice, which holds the
+    values the chain takes alone; so this agrees with pltl_holds on each
+    chain.
+    """
+    inits = [
+        sample.starts[k] + m.init
+        for m, k in zip((*sample.positive, *sample.negative), sample.slots)
+    ]
+    holds = _holds(f, sample.union, inits)
+    n_pos = len(sample.positive)
+    return bool(holds[:n_pos].all() and not holds[n_pos:].any())
 
 
 def learn(sample: Sample, config: LearnConfig) -> LearnResult:

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from pltl_learn.benchgen import reach_chain, write_sample
-from pltl_learn.cli import main
+from pltl_learn import cli
+from pltl_learn.cli import build_parser, main
 from pltl_learn.dtmc import Sample, dtmc_to_json, dtmc_to_prism, parse_json_dtmc
 
 
@@ -211,6 +212,7 @@ def _manifest(params):
         ("check", {**_ONE_STATE, "transitions": [[0, False, 1.0]]}),
         ("check", {**_ONE_STATE, "transitions": [[0, 0, "1"]]}),
         ("check", {**_ONE_STATE, "transitions": [[0, 0, True]]}),
+        ("check", {**_ONE_STATE, "transitions": [[0, 0, 10**400]]}),
         ("check", {**_ONE_STATE, "ap": [1]}),
         ("check", {**_ONE_STATE, "ap": ["1"], "labels": {"0": [1]}}),
         ("check", {**_ONE_STATE, "labels": {"0": [], "00": []}}),
@@ -254,6 +256,7 @@ def _manifest(params):
         "row-bool-dst",
         "row-str-prob",
         "row-bool-prob",
+        "row-prob-past-float-range",
         "chain-ap-int-name",
         "label-int-name",
         "label-state-twice",
@@ -520,3 +523,35 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as e:
         main(["learn"])
     assert e.value.code == 2
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys, tmp_path):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        for k in range(2):
+            rc, _, _ = run(capsys, "benchgen", "--name", "safety", "--out", str(tmp_path / str(k)))
+            assert rc == 0
+        with pytest.raises(SystemExit) as e:
+            main(["learn"])
+        assert e.value.code == 2
+        rc, out, _ = run(capsys, "learn", "--sample", str(tmp_path / "0" / "manifest.json"))
+        assert (rc, out) == (0, "P>0.605957 [G(!h)]  margin=0.430664\n")
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("command", [[], ["learn"], ["check"], ["benchgen"]])
+def test_help_text_matches_a_fresh_parser(capsys, command):
+    with pytest.raises(SystemExit) as e:
+        build_parser().parse_args([*command, "--help"])
+    assert e.value.code == 0
+    fresh = capsys.readouterr().out
+    assert "usage: pltl-learn" in fresh
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main([*command, "--help"])
+        assert e.value.code == 0
+        assert capsys.readouterr().out == fresh

@@ -13,6 +13,7 @@ from pltl_learn.engine import (
     LinearSolveError,
     ProbVector,
     RefinedChain,
+    RefinementLog,
     SingularSystemError,
     check_ltl,
     initial_refinement,
@@ -518,6 +519,23 @@ def test_rows_are_built_only_for_rounds_refined_again():
     assert "rows" in vars(inner)  # read to resolve F(a & F(b))
     assert "rows" not in vars(outer)
     assert sum(w for _, w in outer.rows[0]) == pytest.approx(1.0)
+
+
+def test_refinement_log_keeps_its_root(monkeypatch):
+    # Bodies with no temporal subformula, and bodies that share no round
+    # with the log, start from the chain's initial refinement; a
+    # RefinementLog builds it once, a plain list at every such call.
+    m = chains.random_chain(random.Random(89), max_states=8)
+    bodies = [parse_ltl(t) for t in ("a", "(a & !b)", "F(a)", "(b | F(a))", "G(b)", "b", "F(a & F(b))")]
+    want = [check_ltl(m, f) for f in bodies]
+    roots = []
+    monkeypatch.setattr(engine, "initial_refinement", lambda c: roots.append(c) or initial_refinement(c))
+    for log, builds in ((RefinementLog(), 1), ([], 6)):
+        roots.clear()
+        for f, v in zip(bodies, want):
+            assert check_ltl(m, f, log) == v, print_ltl(f)
+            assert [psi for psi, _ in log] == temporal_subformulas(f)
+        assert len(roots) == builds and roots[0] is m
 
 
 def test_duality_on_random_chains():

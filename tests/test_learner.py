@@ -422,6 +422,29 @@ def test_pts_refines_each_shared_prefix_once(monkeypatch):
     assert stats.engine_calls == stats.checked[3] * 2
 
 
+def test_pts_builds_the_root_refinement_once(monkeypatch):
+    import pltl_learn.engine as engine
+
+    roots = []
+    original = engine.initial_refinement
+    monkeypatch.setattr(engine, "initial_refinement", lambda m: roots.append(m) or original(m))
+    state = gbe_init(("a", "b"), max_depth=2)
+    gbe_step(state, 2)
+    gbe_step(state, 3)
+    bodies = [f for n in (1, 2, 3) for f in size_bucket(state, n)]
+    # Propositional bodies start from the root alone, and sort first.
+    assert sum(1 for f in bodies if not temporal_subformulas(f)) > 10
+    rng = random.Random(13)
+    a, b, c = (chains.random_chain(rng, max_states=8) for _ in range(3))
+    sample = Sample.build([a, b], [c, a])
+    res = pts(bodies, sample, 0.05)
+    assert len(roots) == 1 and roots[0] is sample.union
+    pts(size_bucket(state, 1), sample, 0.05)
+    assert len(roots) == 2  # one per call of pts
+    monkeypatch.undo()
+    assert res == _pts_by_body(bodies, sample, 0.05)
+
+
 def test_pts_matches_plain_loop_on_distinct_chains():
     rng = random.Random(11)
     a, b, c = (chains.random_chain(rng, max_states=8) for _ in range(3))
@@ -845,6 +868,62 @@ def test_pltl_holds_combinations():
     assert pltl_holds(m, PltlOr(hi, lo))
     assert not pltl_holds(m, PltlAnd(hi, lo))
     assert pltl_holds(m, PltlAnd(lo, lo))
+
+
+def _atoms(f) -> int:
+    return 1 if isinstance(f, PltlAtom) else _atoms(f.left) + _atoms(f.right)
+
+
+def test_check_consistency_checks_each_atom_once_on_the_union(monkeypatch):
+    import pltl_learn.learner as learner
+
+    calls = []
+
+    def counting(m, f, refinement_log=None):
+        calls.append(m)
+        return check_ltl(m, f, refinement_log)
+
+    monkeypatch.setattr(learner, "check_ltl", counting)
+    rng = random.Random(83)
+    bodies = [parse_ltl(t) for t in ("F(a)", "G(b)", "(a U b)", "X(a)", "a", "(b | X(a))")]
+    verdicts = []
+    for _ in range(30):
+        ms = [chains.random_chain(rng, max_states=6) for _ in range(3)]
+        x, y, z = (PltlAtom(rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)), rng.choice(bodies)) for _ in range(3))
+        for f in (x, PltlAnd(x, y), PltlOr(x, y), PltlAnd(PltlOr(x, y), z), PltlOr(PltlAnd(x, x), z)):
+            holds = [pltl_holds(m, f) for m in ms]
+            sides = [
+                ([ms[0], ms[1], ms[0]], [ms[2], ms[2]]),
+                ([m for m, h in zip(ms, holds) if h] * 2, [m for m, h in zip(ms, holds) if not h] * 2),
+            ]
+            for pos, neg in sides:
+                if not (pos and neg):
+                    continue
+                sample = Sample.build(pos, neg)
+                want = all(pltl_holds(m, f) for m in sample.positive) and not any(
+                    pltl_holds(m, f) for m in sample.negative
+                )
+                calls.clear()
+                assert check_consistency(f, sample) is want
+                assert len(calls) == _atoms(f) and all(m is sample.union for m in calls)
+                verdicts.append(want)
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
+
+def test_learn_builds_one_union_per_sample(monkeypatch):
+    import pltl_learn.dtmc as dtmc
+
+    built = []
+    original = dtmc.disjoint_union
+    monkeypatch.setattr(dtmc, "disjoint_union", lambda ms: built.append(1) or original(ms))
+    sample = until_sample()
+    result = learn(sample, LearnConfig(max_size=3))
+    # Sizes 1 to 3 are scanned and the result re-verified on one union.
+    assert result.size == 3 and result.stats.sizes() == [1, 2, 3]
+    assert len(sample.distinct) > 1
+    assert built == [1]
+    learn(sample, LearnConfig(max_size=3))
+    assert built == [1]
 
 
 def test_check_consistency_direction():
