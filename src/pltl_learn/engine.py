@@ -21,16 +21,17 @@ states are split into components, the maximal sets linked by
 transitions in either direction, and each component gets its own linear
 systems, the ones it would get alone; no transition joins two chains of
 a ``dtmc.disjoint_union``, so a union is scored in one call and each
-chain's slice of it takes that chain's own values.  The size rule has one cutover, _SCC_MIN (64 unknowns).  A
-component of fewer states is one block; a larger one is split into
-strongly connected components, solved one at a time in reverse
-topological order (each after every component it reaches), so a block's
-right-hand side reads its solved successors.  _system alone builds a
-block's system, once, as one {column: value} dict per row; a block below
-the cutover is solved as a dense matrix by solve_linear, one at or above
-it by sparse elimination in Markowitz order, whose time and memory
-follow its nonzeros and fill-ins.  The values come back as one read-only
-memoryview over a float64 array.
+chain's slice of it takes that chain's own values.  The size rule has
+one cutover, _SCC_MIN (64 unknowns).  A component of fewer states is one
+block; a larger one is split into strongly connected components by two
+passes over the chain's rows and predecessor lists, and they are solved
+one at a time in reverse topological order (each after every component
+it reaches), so a block's right-hand side reads its solved successors.
+_system alone builds a block's system, once, as one {column: value} dict
+per row; a block below the cutover is solved as a dense matrix by
+solve_linear, one at or above it by sparse elimination in Markowitz
+order, whose time and memory follow its nonzeros and fill-ins.  The
+values come back as one read-only memoryview over a float64 array.
 
 Graph preprocessing pins impossible states to exactly 0.0 and almost-sure
 states to exactly 1.0, so downstream exact-equality tests on degenerate
@@ -69,7 +70,7 @@ _BRANCH_EPS = 1e-12
 
 # A component of at least this many undecided states is solved SCC by SCC,
 # and a block of at least this many by sparse elimination; smaller ones
-# are one dense system, which skips Tarjan's and the dicts' overhead.
+# are one dense system, which skips the SCC passes' and the dicts' overhead.
 _SCC_MIN = 64
 
 
@@ -150,63 +151,53 @@ def _reach_back(preds, start: list[bool], through: list[bool]) -> list[bool]:
     return seen
 
 
-def _sccs(succ: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components of the graph succ, each after every
-    component it reaches (Tarjan's algorithm, iterative, so deep chains
-    need no recursion)."""
-    k = len(succ)
-    index = [0] * k  # visiting order from 1; 0 is not yet visited
-    low = [0] * k
-    on_stack = [False] * k
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    seen = 0
-    for root in range(k):
-        if index[root]:
+def _sccs(rows, preds, run: list[int]) -> list[list[int]]:
+    """The strongly connected components of the run's states under rows,
+    each sorted and each after every component it reaches.
+
+    Two passes (Sharir, "A strong-connectivity algorithm and its
+    applications in data flow analysis", Comput. Math. Appl. 1981): a
+    depth-first pass over rows records the states in finishing order,
+    then a flood over preds from each state in reverse finishing order
+    collects the run's states not yet taken, which are that state's
+    component.  Neither pass recurses, so deep chains are fine, and both
+    track only the run's states, so they cost the run's states and edges.
+    """
+    todo = set(run)  # not yet visited
+    finished: list[int] = []
+    for root in run:
+        if root not in todo:
             continue
-        seen += 1
-        index[root] = low[root] = seen
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, 0)]
+        todo.discard(root)
+        work = [(root, iter(rows[root]))]
         while work:
-            v, i = work[-1]
-            if i < len(succ[v]):
-                work[-1] = (v, i + 1)
-                w = succ[v][i]
-                if not index[w]:
-                    seen += 1
-                    index[w] = low[w] = seen
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
+            v, succ = work[-1]
+            # The iterator resumes where v's scan last stopped.
+            for t, _ in succ:
+                if t in todo:
+                    todo.discard(t)
+                    work.append((t, iter(rows[t])))
+                    break
+            else:
+                work.pop()
+                finished.append(v)
+    todo = set(run)  # not yet in a component
+    comps: list[list[int]] = []
+    for root in reversed(finished):
+        if root not in todo:
+            continue
+        todo.discard(root)
+        comp = [root]
+        # The loop also visits the states appended while it runs.
+        for u in comp:
+            for s in preds[u]:
+                if s in todo:
+                    todo.discard(s)
+                    comp.append(s)
+        comps.append(sorted(comp))
+    # The flood takes a component before every component it reaches.
+    comps.reverse()
     return comps
-
-
-def _blocks(rows, run: list[int]) -> list[list[int]]:
-    """The run's states as blocks to solve in order: the whole run below
-    _SCC_MIN states, else its SCCs, each after every SCC it reaches."""
-    if len(run) < _SCC_MIN:
-        return [run]
-    pos = {s: j for j, s in enumerate(run)}
-    succ = [[pos[t] for t, _ in rows[s] if t in pos] for s in run]
-    return [[run[j] for j in comp] for comp in _sccs(succ)]
 
 
 def _system(rows, block: list[int], out: list[float]):
@@ -335,11 +326,12 @@ def _until_vec(rows, preds, a: list[bool], b: list[bool]) -> list[float]:
     linked by transitions in either direction, taken in order of their
     smallest state; a component's rows reach no undecided state outside
     it, so its systems are the ones it gives alone.  A component of at
-    least _SCC_MIN states is solved one SCC at a time, each block after
-    the blocks it reaches, which are then known.  _system builds each
-    block's system once; one of fewer than _SCC_MIN unknowns (a whole
-    component or one SCC) goes to _solve_dense, a larger one (always an
-    SCC) to _solve_sparse.  The values are clamped to [0, 1].
+    least _SCC_MIN states is split by _sccs and solved one SCC at a time,
+    each block after the blocks it reaches, which are then known.
+    _system builds each block's system once; one of fewer than _SCC_MIN
+    unknowns (a whole component or one SCC) goes to _solve_dense, a
+    larger one (always an SCC) to _solve_sparse.  The values are clamped
+    to [0, 1].
     """
     pending = [x and not y for x, y in zip(a, b)]
     # Positive probability: b is reachable through pending states.
@@ -366,7 +358,8 @@ def _until_vec(rows, preds, a: list[bool], b: list[bool]) -> list[float]:
                     free[t] = False
                     comp.append(t)
         comp.sort()
-        for block in _blocks(rows, comp):
+        blocks = _sccs(rows, preds, comp) if len(comp) >= _SCC_MIN else [comp]
+        for block in blocks:
             solve = _solve_sparse if len(block) >= _SCC_MIN else _solve_dense
             for i, v in zip(block, solve(*_system(rows, block, out))):
                 out[i] = min(1.0, max(0.0, v))

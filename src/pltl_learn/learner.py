@@ -390,9 +390,12 @@ def pts(
 
 
 def _summary(values: memoryview, start: int, m: Dtmc) -> tuple[float, bool, bool]:
-    """(init, all 0, all 1) of chain m, whose values start at values[start]."""
+    """(init, all 0, all 1) of chain m, whose values start at values[start].
+
+    check_ltl clamps values into [0, 1], so all are 1 when the least is;
+    own[0] settles most slices before min reads them all."""
     own = values[start : start + m.n_states]
-    return values[start + m.init], all(x == 0.0 for x in own), all(x == 1.0 for x in own)
+    return values[start + m.init], not any(own), own[0] == 1.0 and min(own) == 1.0
 
 
 def best_threshold(pos, neg) -> tuple[float, int]:

@@ -753,8 +753,8 @@ def test_large_systems_solve_scc_by_scc_and_match_the_oracles(index, monkeypatch
     blocks = []
     original = engine._sccs
 
-    def recording(succ):
-        blocks.append(original(succ))
+    def recording(rows, preds, run):
+        blocks.append(original(rows, preds, run))
         return blocks[-1]
 
     monkeypatch.setattr(engine, "_sccs", recording)
@@ -772,6 +772,62 @@ def test_large_systems_solve_scc_by_scc_and_match_the_oracles(index, monkeypatch
         _assert_matches(got.values, want, text)
     # Some system reached the cutover and split into several blocks.
     assert any(len(comps) > 1 for comps in blocks)
+
+
+def _closure(rows, run):
+    """reach[s]: the run's states reachable from s through run states,
+    s included, by brute force."""
+    inside = set(run)
+    reach = {}
+    for s in run:
+        seen, todo = {s}, [s]
+        while todo:
+            for t, _ in rows[todo.pop()]:
+                if t in inside and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach[s] = seen
+    return reach
+
+
+def _assert_scc_order(rows, run, comps):
+    reach = _closure(rows, run)
+    assert sorted(s for comp in comps for s in comp) == sorted(run)
+    for comp in comps:
+        assert comp == sorted(comp)
+        # A block is one mutual-reachability class, whole.
+        assert set(comp) == {t for t in reach[comp[0]] if comp[0] in reach[t]}
+    where = {s: k for k, comp in enumerate(comps) for s in comp}
+    for s in run:
+        # Each block comes after every block it reaches.
+        assert all(where[t] <= where[s] for t in reach[s])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sccs_match_a_transitive_closure(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    rows = []
+    for _ in range(n):
+        ts = [rng.randrange(n) for _ in range(rng.randint(0, 4))]
+        rows.append([(t, 1.0 / len(ts)) for t in ts])
+    # The run leaves states out, and edges leave the run.
+    run = [s for s in range(n) if rng.random() < 0.8]
+    rng.shuffle(run)
+    comps = engine._sccs(rows, engine._preds(rows), run)
+    _assert_scc_order(rows, run, comps)
+
+
+def test_sccs_walk_a_long_path_without_recursion():
+    n = 20_000
+    rows = [[(s + 1, 1.0)] for s in range(n - 1)] + [[(0, 0.5), (n - 1, 0.5)]]
+    preds = engine._preds(rows)
+    # The back edge closes one cycle of every state.
+    assert engine._sccs(rows, preds, list(range(n))) == [list(range(n))]
+    # Without the last state the path is n - 1 singletons, tail first.
+    rows[-1] = [(n - 1, 1.0)]
+    preds = engine._preds(rows)
+    assert engine._sccs(rows, preds, list(range(n - 1))) == [[s] for s in range(n - 2, -1, -1)]
 
 
 def test_large_union_parts_match_each_chain_alone_bit_for_bit():
