@@ -2,17 +2,15 @@
 """One sha256 over the engine's output on a fixed body set and fixed chains.
 
 Every canonical body up to size 5 over a, b, c (temporal depth at most 2)
-is scored with check_ltl on a set of seeded random chains, in the order
-pts walks them (sorted by engine.trie_key) and with one refinement log
-shared per chain, as pts does.
+is scored with engine.check_each on a set of seeded random chains, as
+pts scores a sample, and hashed in the order check_each yields them.
 The digest covers repr() of every per-state vector as a tuple of
 floats, so two trees that print the same digest compute bit-identical
 vectors.  One chain lacks the proposition c, so bodies naming it read
 c as false everywhere.
 
-The bodies are also scored, in the same order with one log, on the
-disjoint union of the chains projected onto a, b, c, as pts scores a
-sample.  The script exits 1 if any chain's slice of the union's vector
+The bodies are also scored with check_each on the disjoint union of the
+chains projected onto a, b, c, as pts scores a sample.  The script exits 1 if any chain's slice of the union's vector
 differs from the chain's own vector, or if the union and the chains
 disagree on which bodies fail to solve.
 
@@ -26,7 +24,7 @@ import sys
 from itertools import accumulate
 
 from pltl_learn.dtmc import Dtmc, disjoint_union, project
-from pltl_learn.engine import LinearSolveError, check_ltl, trie_key
+from pltl_learn.engine import LinearSolveError, check_each
 from pltl_learn.learner import gbe_init, gbe_step, size_bucket
 from pltl_learn.ltl import print_ltl
 
@@ -56,7 +54,7 @@ def bodies() -> list:
     for n in range(2, MAX_SIZE + 1):
         gbe_step(state, n)
         out += size_bucket(state, n)
-    return sorted(out, key=trie_key)
+    return out
 
 
 def union_mismatches(fs, ms, alone) -> list[str]:
@@ -66,18 +64,14 @@ def union_mismatches(fs, ms, alone) -> list[str]:
     union = disjoint_union([project(m, AP) for m in ms])
     # Chain k is states starts[k] up to starts[k + 1] of the union.
     starts = list(accumulate((m.n_states for m in ms), initial=0))
-    log: list = []
     bad = []
-    for j, f in enumerate(fs):
+    for j, got in check_each(union, fs):
         expect = [own[j] for own in alone]
-        try:
-            values = check_ltl(union, f, log).values
-        except LinearSolveError:
+        if isinstance(got, LinearSolveError):
             if None not in expect:
-                bad.append(print_ltl(f))
-            continue
-        if [repr(tuple(values[lo:hi])) for lo, hi in zip(starts, starts[1:])] != expect:
-            bad.append(print_ltl(f))
+                bad.append(print_ltl(fs[j]))
+        elif [repr(tuple(got.values[lo:hi])) for lo, hi in zip(starts, starts[1:])] != expect:
+            bad.append(print_ltl(fs[j]))
     return bad
 
 
@@ -87,16 +81,13 @@ def main() -> int:
     h = hashlib.sha256()
     alone = []
     for m in ms:
-        log: list = []
-        own = []
-        for f in fs:
-            try:
-                got = repr(tuple(check_ltl(m, f, log).values))
-                own.append(got)
-            except LinearSolveError as err:
-                got = f"{type(err).__name__}: {err}"
-                own.append(None)
-            h.update(got.encode() + b"\n")
+        own = [None] * len(fs)
+        for j, got in check_each(m, fs):
+            if isinstance(got, LinearSolveError):
+                line = f"{type(got).__name__}: {got}"
+            else:
+                line = own[j] = repr(tuple(got.values))
+            h.update(line.encode() + b"\n")
         alone.append(own)
     print(f"{h.hexdigest()}  {len(fs)} bodies x {len(CHAINS)} chains")
     bad = union_mismatches(fs, ms, alone)

@@ -12,13 +12,13 @@ rounds read it as a proposition.  Once every temporal subformula is
 resolved, the per-state value is the weight of the copies in which the
 formula's column expression holds.  A round's conditioned transitions
 are built only when they are first read, that is when a later round
-refines that chain again; the last round of a body never needs them.  A
-caller scoring many bodies on one chain can pass the same refinement log
-to every call, so the rounds a body shares with the previous one are not
-refined again; a RefinementLog also keeps the chain's initial
-refinement, so it is built once for all of them.  A round's undecided
-states are split into components, the maximal sets linked by
-transitions in either direction, and each component gets its own linear
+refines that chain again; the last round of a body never needs them.
+check_each scores many bodies on one chain in prefix-trie order of
+their subformula sequences with one RefinementLog, so rounds a body
+shares with the previous one are not refined again and the chain's
+initial refinement is built once.  A round's undecided states are
+split into components, the maximal sets linked by transitions in
+either direction, and each component gets its own linear
 systems, the ones it would get alone; no transition joins two chains of
 a ``dtmc.disjoint_union``, so a union is scored in one call and each
 chain's slice of it takes that chain's own values.  The size rule has
@@ -40,7 +40,7 @@ values are reliable.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -60,8 +60,8 @@ __all__ = [
     "initial_refinement",
     "refine",
     "temporal_subformulas",
-    "trie_key",
     "check_ltl",
+    "check_each",
 ]
 
 # Prophecy branches with conditional probability below this are dropped;
@@ -421,15 +421,14 @@ class ProbVector:
 
 
 class RefinementLog(list):
-    """A refinement log for check_ltl that also keeps its chain's root.
+    """The (subformula, refined chain) pairs of check_ltl's last call on
+    chain m, one per round, with m as chain and m's initial refinement
+    as root, where a call that reuses no logged round starts."""
 
-    The entries are check_ltl's (subformula, refined chain) pairs, as in
-    a plain list.  root is the chain's initial refinement, built by the
-    first call that starts from it and reused by every later call on
-    the same chain, bodies with no temporal subformula included.
-    """
-
-    root: RefinedChain | None = None
+    def __init__(self, m: Dtmc) -> None:
+        super().__init__()
+        self.chain = m
+        self.root = initial_refinement(m)
 
 
 def initial_refinement(m: Dtmc) -> RefinedChain:
@@ -479,17 +478,6 @@ def temporal_subformulas(f: LtlFormula) -> list[LtlFormula]:
 
     walk(f)
     return list(out)
-
-
-def trie_key(f: LtlFormula) -> tuple[int, ...]:
-    """Sort key for a depth-first walk of the prefix trie of bodies'
-    temporal_subformulas sequences.
-
-    Bodies whose sequences share a prefix sort next to each other, after
-    the body that is that prefix, so check_ltl with one shared log
-    refines each shared prefix once.
-    """
-    return tuple(psi.hash64 for psi in temporal_subformulas(f))
 
 
 def _operands(r: RefinedChain, psi: LtlFormula) -> tuple[list[bool] | None, list[bool]]:
@@ -581,48 +569,58 @@ def refine(r: RefinedChain, psi: LtlFormula, p: list[float], prop: LtlFormula) -
     )
 
 
-def check_ltl(
-    m: Dtmc,
-    f: LtlFormula,
-    refinement_log: list[tuple[LtlFormula, RefinedChain]] | None = None,
-) -> ProbVector:
+def check_ltl(m: Dtmc, f: LtlFormula, refinement_log: RefinementLog | None = None) -> ProbVector:
     """Per-state probability that a run satisfies f, exactly up to solver
     accuracy.
 
-    Pass a list as refinement_log to receive one (subformula, refined
-    chain) pair per prophecy split, in temporal_subformulas(f) order.  A
-    non-empty log must come from earlier calls on this same chain m: its
+    Pass a RefinementLog of m to receive one (subformula, refined chain)
+    pair per prophecy split, in temporal_subformulas(f) order.  The log's
     longest leading run of pairs whose subformulas equal the leading
-    entries of temporal_subformulas(f) is reused, the rest of the log is
-    deleted, and only the remaining rounds are refined and appended.
-    When no pair is reused the rounds start from m's initial refinement,
-    the log's root: a RefinementLog keeps it once built, so every call
-    on m with that log shares one, while a plain list keeps only the
-    pairs and each such call builds the root again.  The result is the
-    same as without a log, since each round depends only on m and the
-    subformulas resolved before it.
+    entries of temporal_subformulas(f) is reused, the rest is deleted,
+    and only the remaining rounds are refined and appended, from the
+    log's root when no pair is reused.  The result is the same as
+    without a log, since each round depends only on m and the
+    subformulas resolved before it.  A log of another chain raises
+    ValueError and is left as it was.
     """
+    log = RefinementLog(m) if refinement_log is None else refinement_log
+    if log.chain is not m:
+        raise ValueError("the refinement log belongs to another chain")
     rounds = temporal_subformulas(f)
-    log = refinement_log
     keep = 0
-    if log:
-        while keep < min(len(log), len(rounds)) and log[keep][0] == rounds[keep]:
-            keep += 1
-        del log[keep:]
-    if keep:
-        r = log[-1][1]
-    elif isinstance(log, RefinementLog):
-        if log.root is None:
-            log.root = initial_refinement(m)
-        r = log.root
-    else:
-        r = initial_refinement(m)
+    while keep < min(len(log), len(rounds)) and log[keep][0] == rounds[keep]:
+        keep += 1
+    del log[keep:]
+    r = log[-1][1] if keep else log.root
     for psi in rounds[keep:]:
         r = refine(r, psi, _prophecy_vector(r, psi), psi)
-        if log is not None:
-            log.append((psi, r))
+        log.append((psi, r))
     # bincount adds the weights in copy order, as a loop over copies would.
     mask = _column(r, f)
     values = np.bincount(r.origin[mask], r.weights[mask], minlength=m.n_states)
     values = memoryview(np.fmin(1.0, np.fmax(0.0, values))).toreadonly()
     return ProbVector(values, values[m.init])
+
+
+def check_each(
+    m: Dtmc, bodies: Sequence[LtlFormula]
+) -> Iterator[tuple[int, ProbVector | LinearSolveError]]:
+    """Yield (j, check_ltl(m, bodies[j])) once per body j, or the
+    LinearSolveError that call raises, sharing the rounds bodies share.
+
+    The bodies come in depth-first order of the prefix trie of their
+    temporal_subformulas sequences, ties in the given order, and every
+    call gets one RefinementLog(m): each shared prefix is refined once,
+    and only one path of refined chains is alive at a time.
+    """
+    log = RefinementLog(m)
+    walk = sorted(
+        range(len(bodies)),
+        key=lambda j: tuple(psi.hash64 for psi in temporal_subformulas(bodies[j])),
+    )
+    for j in walk:
+        try:
+            got = check_ltl(m, bodies[j], log)
+        except LinearSolveError as err:
+            got = err
+        yield j, got

@@ -28,7 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from .dtmc import Dtmc, Sample
-from .engine import LinearSolveError, RefinementLog, check_ltl, trie_key
+from .engine import LinearSolveError, check_each, check_ltl
 from .ltl import (
     And,
     Finally,
@@ -321,10 +321,10 @@ def pts(
     Chains with equal content are evaluated once, and the distinct ones
     side by side: each body is one check_ltl call on sample.union, built
     once per sample, where each chain's slice takes the values it takes
-    alone.  The bodies go through check_ltl with one RefinementLog in
-    engine.trie_key order, so the union's initial refinement is built
-    once per call of pts, each shared prefix is refined once, and only
-    one path of refined chains is alive at a time.  The scan itself
+    alone.  engine.check_each scores the bodies on the union in the
+    order it picks, so the union's initial refinement is built once per
+    call of pts, each shared prefix is refined once, and only one path
+    of refined chains is alive at a time.  The scan itself
     then runs in the given order over each chain's (init, all 0, all 1)
     summary, read from that chain's slice of the union's values.  When
     the union's solve fails, the body is scored again on each distinct
@@ -336,15 +336,11 @@ def pts(
     chains = [("positive", i) for i in range(len(sample.positive))]
     chains += [("negative", i) for i in range(len(sample.negative))]
     distinct, starts = sample.distinct, sample.starts
-    walk = sorted(range(len(formulas)), key=lambda j: trie_key(formulas[j]))
     # scores[slot][j]: (init, all values == 0.0, all values == 1.0), or
     # the solver error, of body j on that chain.
     scores: list[list] = [[None] * len(formulas) for _ in distinct]
-    log = RefinementLog()
-    for j in walk:
-        try:
-            v = check_ltl(sample.union, formulas[j], log).values
-        except LinearSolveError:
+    for j, v in check_each(sample.union, formulas):
+        if isinstance(v, LinearSolveError):
             # Find the failing chains by scoring each alone.
             for slot, m in enumerate(distinct):
                 try:
@@ -353,7 +349,7 @@ def pts(
                     scores[slot][j] = err
             continue
         for slot, m in enumerate(distinct):
-            scores[slot][j] = _summary(v, starts[slot], m)
+            scores[slot][j] = _summary(v.values, starts[slot], m)
 
     n_pos = len(sample.positive)
     consistent: list[tuple[PltlAtom, float]] = []

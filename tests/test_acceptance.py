@@ -26,7 +26,7 @@ from pltl_learn.benchgen import (
     write_sample,
 )
 from pltl_learn.dtmc import Sample
-from pltl_learn.engine import RefinedChain, check_ltl
+from pltl_learn.engine import RefinementLog, check_ltl
 from pltl_learn.learner import (
     LearnConfig,
     best_threshold,
@@ -42,7 +42,6 @@ from pltl_learn.ltl import (
     And,
     Finally,
     Globally,
-    LtlFormula,
     Next,
     Or,
     PltlAnd,
@@ -70,7 +69,7 @@ def _report(cid: str, desc: str, problems: list[str]) -> None:
 @pytest.fixture(scope="module")
 def engine_sweep():
     rng = random.Random(2024)
-    logs: list[tuple[int, list[tuple[LtlFormula, RefinedChain]]]] = []
+    logs: list[tuple[int, RefinementLog]] = []
     worst = 0.0
     mismatches: list[str] = []
     t0 = time.perf_counter()
@@ -78,7 +77,7 @@ def engine_sweep():
         m = chains.random_chain(rng, max_states=20, ap=("a", "b"))
         suite = chains.oracle_suite(m)
         for text, want in suite.items():
-            log: list[tuple[LtlFormula, RefinedChain]] = []
+            log = RefinementLog(m)
             got = check_ltl(m, parse_ltl(text), refinement_log=log)
             logs.append((m.n_states, log))
             err = max(abs(g - w) for g, w in zip(got.values, want))

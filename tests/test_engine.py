@@ -12,15 +12,14 @@ from pltl_learn.dtmc import Dtmc, Sample, disjoint_union, parse_json_dtmc
 from pltl_learn.engine import (
     LinearSolveError,
     ProbVector,
-    RefinedChain,
     RefinementLog,
     SingularSystemError,
+    check_each,
     check_ltl,
     initial_refinement,
     refine,
     solve_linear,
     temporal_subformulas,
-    trie_key,
 )
 from pltl_learn.learner import gbe_init, gbe_step, size_bucket
 from pltl_learn.ltl import And, Finally, Lit, LtlFormula, Next, Or, parse_ltl, print_ltl
@@ -309,7 +308,7 @@ def test_next_accepts_callables():
 
 
 def test_refinement_of_sure_formula_is_isomorphic():
-    log: list[tuple[LtlFormula, RefinedChain]] = []
+    log = RefinementLog(C2)
     check_ltl(C2, parse_ltl("F(a)"), refinement_log=log)
     ((psi, round0),) = log
     assert print_ltl(psi) == "F(a)"
@@ -319,7 +318,7 @@ def test_refinement_of_sure_formula_is_isomorphic():
 
 
 def test_refinement_splits_branch_example():
-    log: list[tuple[LtlFormula, RefinedChain]] = []
+    log = RefinementLog(C1)
     check_ltl(C1, parse_ltl("F(a)"), refinement_log=log)
     ((_, round0),) = log
     assert list(round0.origin) == [0, 0, 1, 2]
@@ -331,7 +330,7 @@ def test_refinement_splits_branch_example():
 
 
 def test_refinement_round_sequence_for_nested_formula():
-    log: list[tuple[LtlFormula, RefinedChain]] = []
+    log = RefinementLog(C5)
     check_ltl(C5, parse_ltl("F(a & F(b))"), refinement_log=log)
     assert [print_ltl(psi) for psi, _ in log] == ["F(b)", "F(a & F(b))"]
 
@@ -400,7 +399,7 @@ def test_refinement_invariants_on_random_chains():
     for _ in range(120):
         m = chains.random_chain(rng, max_states=15)
         for f in fs:
-            log: list[tuple[LtlFormula, RefinedChain]] = []
+            log = RefinementLog(m)
             v = check_ltl(m, f, refinement_log=log)
             assert all(0.0 <= x <= 1.0 for x in v.values)
             assert v.init == v.values[m.init]
@@ -426,7 +425,7 @@ def test_shared_log_matches_fresh_evaluation():
         m = chains.random_chain(rng, max_states=8)
         order = bodies[:]
         rng.shuffle(order)
-        log: list[tuple[LtlFormula, RefinedChain]] = []
+        log = RefinementLog(m)
         for f in order:
             before = list(log)
             rounds = temporal_subformulas(f)
@@ -464,9 +463,9 @@ def test_weight_sum_matches_a_loop_over_copies():
     for ap in (("a", "b", "c"), ("a", "b")):
         m = chains.random_chain(rng, max_states=10, ap=ap)
         for f in bodies:
-            log: list[tuple[LtlFormula, RefinedChain]] = []
+            log = RefinementLog(m)
             got = check_ltl(m, f, log)
-            r = log[-1][1] if log else initial_refinement(m)
+            r = log[-1][1] if log else log.root
             values = [0.0] * m.n_states
             for i, o in enumerate(r.origin):
                 labels = frozenset(key for key, j in r.columns.items() if r.labels[i, j])
@@ -513,7 +512,7 @@ def test_row_totals_do_not_depend_on_the_python_sum(monkeypatch):
 
 
 def test_rows_are_built_only_for_rounds_refined_again():
-    log: list[tuple[LtlFormula, RefinedChain]] = []
+    log = RefinementLog(C5)
     check_ltl(C5, parse_ltl("F(a & F(b))"), refinement_log=log)
     (_, inner), (_, outer) = log
     assert "rows" in vars(inner)  # read to resolve F(a & F(b))
@@ -523,19 +522,82 @@ def test_rows_are_built_only_for_rounds_refined_again():
 
 def test_refinement_log_keeps_its_root(monkeypatch):
     # Bodies with no temporal subformula, and bodies that share no round
-    # with the log, start from the chain's initial refinement; a
-    # RefinementLog builds it once, a plain list at every such call.
+    # with the log, start from the chain's initial refinement, which the
+    # log builds once.
     m = chains.random_chain(random.Random(89), max_states=8)
     bodies = [parse_ltl(t) for t in ("a", "(a & !b)", "F(a)", "(b | F(a))", "G(b)", "b", "F(a & F(b))")]
     want = [check_ltl(m, f) for f in bodies]
     roots = []
     monkeypatch.setattr(engine, "initial_refinement", lambda c: roots.append(c) or initial_refinement(c))
-    for log, builds in ((RefinementLog(), 1), ([], 6)):
-        roots.clear()
-        for f, v in zip(bodies, want):
-            assert check_ltl(m, f, log) == v, print_ltl(f)
-            assert [psi for psi, _ in log] == temporal_subformulas(f)
-        assert len(roots) == builds and roots[0] is m
+    log = RefinementLog(m)
+    for f, v in zip(bodies, want):
+        assert check_ltl(m, f, log) == v, print_ltl(f)
+        assert [psi for psi, _ in log] == temporal_subformulas(f)
+    assert roots == [m] and log.chain is m
+
+
+def _bodies(ap, max_size):
+    state = gbe_init(ap, max_depth=2)
+    bodies = size_bucket(state, 1)
+    for n in range(2, max_size + 1):
+        gbe_step(state, n)
+        bodies += size_bucket(state, n)
+    return bodies
+
+
+# State 0 leaves its self-loop with mass 2e-13, so every round whose
+# system reaches it has no pivot above the solver's 1e-12; rounds that
+# solve nothing there, such as X(a) and G(a), still succeed.
+_STUCK_CHAIN = _mk(
+    5,
+    4,
+    [(), ("a",), ("b",), ("a",), ()],
+    [
+        (0, 0, 0.9999999999998), (0, 1, 1e-13), (0, 2, 1e-13), (1, 1, 1.0), (2, 2, 1.0),
+        (3, 0, 0.5), (3, 3, 0.25), (3, 2, 0.25), (4, 3, 0.5), (4, 1, 0.5),
+    ],
+)
+
+
+def test_check_each_equals_check_ltl_one_body_at_a_time():
+    bodies = _bodies(("a", "b"), 4)
+    rng = random.Random(97)
+    ms = [chains.random_chain(rng, max_states=9) for _ in range(4)] + [_STUCK_CHAIN]
+    resumed_after_failure = 0
+    for m in ms:
+        walk = list(check_each(m, bodies))
+        assert sorted(j for j, _ in walk) == list(range(len(bodies)))
+        keys = [tuple(psi.hash64 for psi in temporal_subformulas(bodies[j])) for j, _ in walk]
+        assert keys == sorted(keys)
+        failed: list[LtlFormula] = []
+        for j, got in walk:
+            f = bodies[j]
+            try:
+                want = check_ltl(m, f)
+            except LinearSolveError as err:
+                assert type(got) is type(err) and str(got) == str(err), print_ltl(f)
+                failed = temporal_subformulas(f)
+                continue
+            assert isinstance(got, ProbVector), print_ltl(f)
+            assert bytes(got.values) == bytes(want.values) and got.init == want.init, print_ltl(f)
+            if failed and temporal_subformulas(f)[:1] == failed[:1]:
+                resumed_after_failure += 1
+            failed = []
+    # Some body right after a failed one reuses the rounds it shares.
+    assert resumed_after_failure > 0
+
+
+def test_a_log_of_another_chain_is_refused():
+    rng = random.Random(101)
+    m1, m2 = (chains.random_chain(rng, max_states=6) for _ in range(2))
+    f = parse_ltl("F(a & F(b))")
+    log = RefinementLog(m1)
+    check_ltl(m1, f, log)
+    before = list(log)
+    with pytest.raises(ValueError, match="another chain"):
+        check_ltl(m2, f, log)
+    assert len(log) == len(before) and all(x is y for x, y in zip(log, before))
+    assert check_ltl(m2, f, RefinementLog(m2)) == check_ltl(m2, f)
 
 
 def test_duality_on_random_chains():
@@ -578,15 +640,6 @@ def test_prob_vector_is_frozen():
 # Disjoint unions
 
 
-def _bodies_in_trie_order(ap, max_size):
-    state = gbe_init(ap, max_depth=2)
-    bodies = size_bucket(state, 1)
-    for n in range(2, max_size + 1):
-        gbe_step(state, n)
-        bodies += size_bucket(state, n)
-    return sorted(bodies, key=trie_key)
-
-
 @pytest.mark.parametrize("seed", [1, 3, 8])
 def test_union_parts_match_each_chain_alone_bit_for_bit(seed, monkeypatch):
     rng = random.Random(seed)
@@ -603,21 +656,20 @@ def test_union_parts_match_each_chain_alone_bit_for_bit(seed, monkeypatch):
     starts = [0]
     for m in ms:
         starts.append(starts[-1] + m.n_states)
-    bodies = _bodies_in_trie_order(("a", "b"), 4)
+    bodies = _bodies(("a", "b"), 4)
     solves = []
     original = engine.solve_linear
     monkeypatch.setattr(engine, "solve_linear", lambda A, c: solves.append(1) or original(A, c))
-    log: list = []
-    on_union = [check_ltl(union, f, log) for f in bodies]
+    on_union = dict(check_each(union, bodies))
     # one system per component, as many as the chains solve alone in the
     # same walk
     union_solves = len(solves)
     for m in ms:
-        log = []
-        for f in bodies:
-            check_ltl(m, f, log)
+        for _ in check_each(m, bodies):
+            pass
     assert union_solves == len(solves) - union_solves > 0
-    for f, got in zip(bodies, on_union):
+    for j, f in enumerate(bodies):
+        got = on_union[j]
         assert got.init == got.values[ms[0].init]
         for m, lo, hi in zip(ms, starts, starts[1:]):
             assert got.values[lo:hi] == check_ltl(m, f).values, print_ltl(f)

@@ -16,7 +16,7 @@ from pltl_learn.benchgen import (
     until_sample,
 )
 from pltl_learn.dtmc import Dtmc, Sample, disjoint_union
-from pltl_learn.engine import LinearSolveError, check_ltl, temporal_subformulas
+from pltl_learn.engine import LinearSolveError, RefinementLog, check_ltl, temporal_subformulas
 from pltl_learn.learner import (
     EngineFailure,
     LearnConfig,
@@ -347,6 +347,9 @@ def test_pts_engine_failure_names_the_chain(monkeypatch):
     def boom(m, f, refinement_log=None):
         raise LinearSolveError("forced")
 
+    # The union goes through engine.check_each, each chain alone through
+    # learner's own name.
+    monkeypatch.setattr("pltl_learn.engine.check_ltl", boom)
     monkeypatch.setattr("pltl_learn.learner.check_ltl", boom)
     sample = Sample.build([RETRY], [reach_chain(0.3)])
     with pytest.raises(EngineFailure, match="positive chain 0"):
@@ -471,6 +474,7 @@ def test_pts_engine_failure_keeps_scan_order_with_shared_chains(monkeypatch):
             raise LinearSolveError("forced")
         return check_ltl(m, f, refinement_log)
 
+    monkeypatch.setattr("pltl_learn.engine.check_ltl", failing)
     monkeypatch.setattr("pltl_learn.learner.check_ltl", failing)
     sample = Sample.build([a, b], [RETRY])
     assert sample.positive[1] == sample.negative[0]
@@ -498,7 +502,7 @@ def test_pts_engine_failure_names_the_chain_first_in_scan_order(monkeypatch):
     sample = Sample.build([x], [RETRY, y], ap=["a", "b"])
     ms = [*sample.positive, *sample.negative]
     for m, rounds_done in ((disjoint_union(ms), 0), (ms[0], 1), (ms[2], 0)):
-        log: list = []
+        log = RefinementLog(m)
         with pytest.raises(LinearSolveError):
             check_ltl(m, f, log)
         assert len(log) == rounds_done
