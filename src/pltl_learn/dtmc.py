@@ -303,7 +303,8 @@ def parse_json_dtmc(text: str) -> Dtmc:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, or an integer past int's digit limit.
         raise DtmcError(f"bad JSON: {e}") from None
     except RecursionError:
         raise DtmcError("bad JSON: nested too deeply") from None

@@ -8,10 +8,11 @@ Three cooperating pieces:
   commutative duplicates, complement combinations),
 * a per-size scan that evaluates every candidate body on every chain and
   returns the widest-margin thresholded atoms once some body separates
-  the sample by more than delta,
-* a set-cover style combiner that reuses failed bodies as atoms with the
-  best achievable threshold and searches for a consistent conjunction or
-  disjunction of two of them.
+  the sample by more than delta, and otherwise the atoms of failed
+  bodies worth combining,
+* a set-cover style combiner over those atoms, read as the positive
+  chains each misses and the negative chains each admits, that looks
+  for a conjunction or disjunction of two that misses and admits none.
 
 Minimality: sizes are scanned in increasing order, Boolean combinations
 tighten the size budget when they find a candidate, and every returned
@@ -68,7 +69,6 @@ __all__ = [
     "make_scored",
     "bsc",
     "learn",
-    "pltl_holds",
     "check_consistency",
 ]
 
@@ -297,8 +297,8 @@ class PtsResult:
     winners: tuple[tuple[PltlAtom, float], ...]
     consistent: tuple[tuple[PltlAtom, float], ...]
     discards: tuple[LtlFormula, ...]
-    # (body, positive values, negative values) for inconsistent survivors
-    kept: tuple[tuple[LtlFormula, tuple[float, ...], tuple[float, ...]], ...]
+    # atoms of inconsistent bodies that bsc may combine, in scan order
+    pooled: tuple[ScoredCandidate, ...]
 
 
 def pts(
@@ -308,15 +308,19 @@ def pts(
     *,
     stats: RunStats | None = None,
 ) -> PtsResult:
-    """Evaluate candidate bodies and pick consistent thresholded atoms.
+    """Evaluate candidate bodies and classify each one once.
 
     A body phi is consistent when min over positives of its initial
     probability exceeds max over negatives by more than delta; the atom
     threshold is the midpoint.  A body whose whole per-state vector is
     exactly 0 on every positive chain or exactly 1 on every negative
     chain cannot occur inside any minimal consistent formula and is
-    reported as a discard; everything else survives with its
-    initial-state values.
+    reported as a discard.  In a layer with no consistent body, every
+    other body is pooled as make_scored's atom unless its initial value
+    is 0 on every positive or 1 on every negative (useless in a
+    combination, though the body may serve as a subterm later) or the
+    atom alone classifies every chain (it missed delta, and any pair
+    holding it would admit it without a margin).
 
     Chains with equal content are evaluated once, and the distinct ones
     side by side: each body is one check_ltl call on sample.union, built
@@ -354,7 +358,7 @@ def pts(
     n_pos = len(sample.positive)
     consistent: list[tuple[PltlAtom, float]] = []
     discards: list[LtlFormula] = []
-    kept: list[tuple[LtlFormula, tuple[float, ...], tuple[float, ...]]] = []
+    pooled: list[ScoredCandidate] = []
     for j, f in enumerate(formulas):
         got = []
         for (role, i), slot in zip(chains, sample.slots):
@@ -370,19 +374,18 @@ def pts(
         lo, hi = min(pos), max(neg)
         if lo - hi > delta:
             consistent.append((PltlAtom((lo + hi) / 2.0, f), lo - hi))
-            continue
-        never_pos = all(zero for _, zero, _ in got[:n_pos])
-        always_neg = all(one for _, _, one in got[n_pos:])
-        if never_pos or always_neg:
+        elif all(zero for _, zero, _ in got[:n_pos]) or all(one for _, _, one in got[n_pos:]):
             discards.append(f)
-            continue
-        kept.append((f, pos, neg))
+        elif not consistent and max(pos) > 0.0 and min(neg) < 1.0:
+            atom = make_scored(f, pos, neg)
+            if atom.misses or atom.admits:
+                pooled.append(atom)
 
     if consistent:
         top = max(m for _, m in consistent)
         winners = tuple((a, m) for a, m in consistent if m == top)
         return PtsResult(True, winners, tuple(consistent), (), ())
-    return PtsResult(False, (), (), tuple(discards), tuple(kept))
+    return PtsResult(False, (), (), tuple(discards), tuple(pooled))
 
 
 def _summary(values: memoryview, start: int, m: Dtmc) -> tuple[float, bool, bool]:
@@ -398,15 +401,18 @@ def best_threshold(pos, neg) -> tuple[float, int]:
     """Threshold maximizing correctly classified chains.
 
     Candidates are midpoints of consecutive distinct observed values,
-    with 0 and 1 added as sentinels so one-sided gaps are usable.  A
-    chain counts when its positive value lies strictly above or its
-    negative value strictly below the threshold.  Ties prefer the widest
-    value gap, then the smallest threshold.
+    with 0 and 1 added as sentinels so one-sided gaps are usable, that
+    lie strictly between the two values they split (some pair always
+    has one): the threshold lies in (0, 1) and equals no value.  A chain
+    counts when its positive value lies above or its negative value
+    below it.  Ties prefer the widest value gap, then the lowest threshold.
     """
     vals = sorted({*pos, *neg, 0.0, 1.0})
     best_r, best_c, best_gap = 0.5, -1, -1.0
     for a, b in zip(vals, vals[1:]):
         r = (a + b) / 2.0
+        if not a < r < b:
+            continue
         c = sum(1 for v in pos if v > r) + sum(1 for v in neg if v < r)
         gap = b - a
         if c > best_c or (c == best_c and (gap > best_gap or (gap == best_gap and r < best_r))):
@@ -422,22 +428,26 @@ def best_threshold(pos, neg) -> tuple[float, int]:
 class ScoredCandidate:
     atom: PltlAtom
     size: int
-    count: int
+    count: int  # chains the atom classifies correctly
     sigma: float
-    pos_bits: tuple[bool, ...]
-    neg_bits: tuple[bool, ...]
+    misses: int  # bit i set: false on positive chain i
+    admits: int  # bit i set: true on negative chain i
 
 
 def make_scored(body: LtlFormula, pos, neg) -> ScoredCandidate:
-    r, c = best_threshold(pos, neg)
-    atom = PltlAtom(r, body)
+    """body's atom at best_threshold, which equals no value: the positives
+    below it are misses, the negatives above it admits, the rest count."""
+    r, _ = best_threshold(pos, neg)
+    misses = sum(1 << i for i, v in enumerate(pos) if v < r)
+    admits = sum(1 << i for i, v in enumerate(neg) if v > r)
+    count = len(pos) + len(neg) - misses.bit_count() - admits.bit_count()
     return ScoredCandidate(
-        atom=atom,
+        atom=PltlAtom(r, body),
         size=body.size,
-        count=c,
-        sigma=c / (1.0 + math.sqrt(body.size)),
-        pos_bits=tuple(v > r for v in pos),
-        neg_bits=tuple(v > r for v in neg),
+        count=count,
+        sigma=count / (1.0 + math.sqrt(body.size)),
+        misses=misses,
+        admits=admits,
     )
 
 
@@ -457,9 +467,11 @@ def bsc(pooled: list[ScoredCandidate], run: _Run) -> None:
 
     pooled accumulates across sizes.  Pairs draw one side from the whole
     pool in score order and the other from the bool_limit best; each pair
-    tries & then |.  Consistency is read off the cached per-chain bits.
-    A hit records the combination and tightens the size budget to one
-    below it, so only strictly smaller candidates can follow.
+    tries & then |.  A conjunction misses what either atom misses and
+    admits what both admit, a disjunction the reverse; a pair that
+    misses and admits nothing is consistent.  A hit records the
+    combination and tightens the size budget to one below it, so only
+    strictly smaller candidates can follow.
     """
     order = sorted(pooled, key=lambda s: (-s.sigma, s.size, print_pltl(s.atom)))
     top = order[: run.config.bool_limit]
@@ -471,12 +483,10 @@ def bsc(pooled: list[ScoredCandidate], run: _Run) -> None:
             for op in ("&", "|"):
                 run.stats.combos_tried += 1
                 if op == "&":
-                    pos_ok = all(a and b for a, b in zip(psi.pos_bits, phi.pos_bits))
-                    neg_bad = any(a and b for a, b in zip(psi.neg_bits, phi.neg_bits))
+                    wrong = (psi.misses | phi.misses) or (psi.admits & phi.admits)
                 else:
-                    pos_ok = all(a or b for a, b in zip(psi.pos_bits, phi.pos_bits))
-                    neg_bad = any(a or b for a, b in zip(psi.neg_bits, phi.neg_bits))
-                if not pos_ok or neg_bad:
+                    wrong = (psi.misses & phi.misses) or (psi.admits | phi.admits)
+                if wrong:
                     continue
                 combo = (PltlAnd if op == "&" else PltlOr)(psi.atom, phi.atom)
                 run.best = ((combo, None),)
@@ -506,20 +516,13 @@ def _holds(f: PltlFormula, m: Dtmc, states: list[int]) -> np.ndarray:
     return left & right if isinstance(f, PltlAnd) else left | right
 
 
-def pltl_holds(m: Dtmc, f: PltlFormula) -> bool:
-    """Whether the chain satisfies the threshold formula: every atom is
-    checked on m, and its value at m's initial state compared with its
-    threshold."""
-    return bool(_holds(f, m, [m.init])[0])
-
-
 def check_consistency(f: PltlFormula, sample: Sample) -> bool:
     """True iff f holds on every positive chain and no negative one.
 
     Each atom is one check_ltl call on sample.union, and a chain's value
     is read at its own initial state within its slice, which holds the
-    values the chain takes alone; so this agrees with pltl_holds on each
-    chain.
+    values the chain takes alone; so each chain gets the verdict it
+    gets when checked alone.
     """
     inits = [
         sample.starts[k] + m.init
@@ -541,7 +544,6 @@ def learn(sample: Sample, config: LearnConfig) -> LearnResult:
     stats = RunStats()
     state = gbe_init(sample.ap, config.max_depth, stats)
     run = _Run(config=config, stats=stats, budget=config.max_size)
-    n_chains = len(sample.positive) + len(sample.negative)
     pooled: list[ScoredCandidate] = []
 
     n = 0
@@ -560,20 +562,8 @@ def learn(sample: Sample, config: LearnConfig) -> LearnResult:
             break
         remove_formulas(state, n, res.discards)
         stats.add("discarded", n, len(res.discards))
-        # An atom that is false at the root of every positive or true at
-        # the root of every negative is useless inside a combination,
-        # though its body may still serve as a subterm later.  An atom
-        # whose bits alone classify every chain missed delta in pts, and
-        # any pair holding it would admit it without a margin.
-        scored = []
-        for f, pos, neg in res.kept:
-            if all(v == 0.0 for v in pos) or all(v == 1.0 for v in neg):
-                continue
-            cand = make_scored(f, pos, neg)
-            if cand.count < n_chains:
-                scored.append(cand)
-        stats.add("pooled", n, len(scored))
-        pooled.extend(scored)
+        stats.add("pooled", n, len(res.pooled))
+        pooled.extend(res.pooled)
         t0 = time.perf_counter()
         bsc(pooled, run)
         stats.add_time("bsc", time.perf_counter() - t0)

@@ -89,6 +89,19 @@ def test_learn_huge_depth_bound_reports_exhaustion(tmp_path, capsys):
     assert "no formula in the search space (K=4, D=1000000000, delta=0.05)" in err
 
 
+def test_learn_threshold_on_a_value_reports_exhaustion(tmp_path, capsys):
+    # F(a) and X(a) read 1 - 2**-53 on the negatives, whose midpoint
+    # with 1 rounds to 1.0: no threshold, so no atom, sits there.
+    negative = reach_chain(1 - 2**-53)
+    write_sample(Sample.build([reach_chain(1.0)], [negative, negative]), tmp_path)
+    rc, out, err = run(
+        capsys, "learn", "--sample", str(tmp_path / "manifest.json"), "-K", "2", "-D", "1"
+    )
+    assert rc == 1
+    assert out == ""
+    assert err == "no formula in the search space (K=2, D=1, delta=0.05)\n"
+
+
 def test_learn_requires_some_size_bound(tmp_path, capsys):
     m = reach_chain(0.3)
     write_sample(Sample.build([reach_chain(1.0)], [m]), tmp_path)
@@ -107,6 +120,55 @@ def test_learn_stats_go_to_stderr(safety_dir, capsys):
     assert "stats[size 1]: constructed=2" in err
     assert "stats[size 2]: constructed=6" in err
     assert "stats[phase]:" in err
+
+
+_STATS = {
+    "reach": [
+        "stats: constructed=8 pruned_temporal=0 pruned_boolean=0 checked=8 discarded=0"
+        " pooled=0 combos_tried=0 engine_calls=16",
+        "stats[size 1]: constructed=2 pruned_temporal=0 pruned_boolean=0 checked=2 discarded=0 pooled=0",
+        "stats[size 2]: constructed=6 pruned_temporal=0 pruned_boolean=0 checked=6 discarded=0 pooled=0",
+    ],
+    "safety": [
+        "stats: constructed=8 pruned_temporal=0 pruned_boolean=0 checked=8 discarded=0"
+        " pooled=0 combos_tried=0 engine_calls=32",
+        "stats[size 1]: constructed=2 pruned_temporal=0 pruned_boolean=0 checked=2 discarded=0 pooled=0",
+        "stats[size 2]: constructed=6 pruned_temporal=0 pruned_boolean=0 checked=6 discarded=0 pooled=0",
+    ],
+    "conjunction": [
+        "stats: constructed=252 pruned_temporal=12 pruned_boolean=32 checked=208 discarded=46"
+        " pooled=69 combos_tried=4 engine_calls=832",
+        "stats[size 1]: constructed=4 pruned_temporal=0 pruned_boolean=0 checked=4 discarded=0 pooled=0",
+        "stats[size 2]: constructed=12 pruned_temporal=0 pruned_boolean=0 checked=12 discarded=4 pooled=4",
+        "stats[size 3]: constructed=72 pruned_temporal=12 pruned_boolean=32 checked=28 discarded=8 pooled=10",
+        "stats[size 4]: constructed=164 pruned_temporal=0 pruned_boolean=0 checked=164 discarded=34 pooled=55",
+    ],
+    "until": [
+        "stats: constructed=88 pruned_temporal=12 pruned_boolean=32 checked=44 discarded=4"
+        " pooled=2 combos_tried=0 engine_calls=176",
+        "stats[size 1]: constructed=4 pruned_temporal=0 pruned_boolean=0 checked=4 discarded=0 pooled=0",
+        "stats[size 2]: constructed=12 pruned_temporal=0 pruned_boolean=0 checked=12 discarded=4 pooled=2",
+        "stats[size 3]: constructed=72 pruned_temporal=12 pruned_boolean=32 checked=28 discarded=0 pooled=0",
+    ],
+    "gridworld": [
+        "stats: constructed=16 pruned_temporal=0 pruned_boolean=0 checked=16 discarded=0"
+        " pooled=0 combos_tried=0 engine_calls=32",
+        "stats[size 1]: constructed=4 pruned_temporal=0 pruned_boolean=0 checked=4 discarded=0 pooled=0",
+        "stats[size 2]: constructed=12 pruned_temporal=0 pruned_boolean=0 checked=12 discarded=0 pooled=0",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STATS))
+def test_learn_stats_lines_per_family(tmp_path, capsys, name):
+    # Conjunction is the one family whose search pools and combines.
+    rc, _, _ = run(capsys, "benchgen", "--name", name, "--out", str(tmp_path))
+    assert rc == 0
+    rc, _, err = run(capsys, "learn", "--sample", str(tmp_path / "manifest.json"), "--stats")
+    assert rc == 0
+    lines = err.splitlines()
+    assert lines[-1].startswith("stats[phase]: ")
+    assert lines[:-1] == _STATS[name]
 
 
 def test_learn_jobs_flag_is_unknown(safety_dir, capsys):
@@ -171,6 +233,8 @@ _RING = {
     "transitions": [[s, (s + 1) % 11, 1.0] for s in range(11)],
 }
 _ENTRY = {"format": "json", "path": "chain.json"}
+# Past the 4300 digits int() converts from a string by default.
+_HUGE = "1" * 5000
 _PRISM_ENTRY = {"format": "prism-explicit", "tra": "chain.tra", "lab": "chain.lab"}
 
 
@@ -222,6 +286,8 @@ def _manifest(params):
         ("check", {**_RING, "labels": {"03": ["a"]}}),
         ("check", {**_RING, "labels": {"\uff13": ["a"]}}),
         ("check", {**_RING, "labels": {"1" * 5000: ["a"]}}),
+        ("check", json.dumps(_ONE_STATE).replace('"states": 1,', f'"states": {_HUGE},')),
+        ("check", json.dumps(_ONE_STATE).replace("[0, 0, 1.0]", f"[0, 0, {_HUGE}]")),
         ("check", "[" * 200_000),
         ("learn", "[" * 200_000),
     ],
@@ -266,6 +332,8 @@ def _manifest(params):
         "label-key-leading-zero",
         "label-key-fullwidth-digit",
         "label-key-too-long-for-int",
+        "states-past-digit-limit",
+        "row-prob-past-digit-limit",
         "chain-nested",
         "manifest-nested",
     ],

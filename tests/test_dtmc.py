@@ -171,6 +171,17 @@ def test_json_bad_document():
         parse_json_dtmc("{nope")
 
 
+def test_json_integer_past_digit_limit():
+    # json.loads raises a plain ValueError on these, not a JSONDecodeError.
+    huge = "1" * 5000
+    for text in (
+        f'{{"states": {huge}, "init": 0, "ap": [], "labels": {{}}, "transitions": [[0, 0, 1.0]]}}',
+        f'{{"states": 1, "init": 0, "ap": [], "labels": {{}}, "transitions": [[0, 0, {huge}]]}}',
+    ):
+        with pytest.raises(DtmcError, match="bad JSON: Exceeds the limit"):
+            parse_json_dtmc(text)
+
+
 def test_json_bad_label_key():
     text = """
     {"states": 2, "init": 0, "ap": ["a"], "labels": {"one": ["a"]},

@@ -32,7 +32,6 @@ from pltl_learn.learner import (
     gbe_step,
     learn,
     make_scored,
-    pltl_holds,
     pts,
     remove_formulas,
     size_bucket,
@@ -275,7 +274,7 @@ def test_pts_finds_widest_margin_atom():
     gbe_step(state, 2)
     res = pts(size_bucket(state, 2), sample, 0.05)
     assert res.found
-    assert res.discards == () and res.kept == ()
+    assert res.discards == () and res.pooled == ()
     ((atom, margin),) = res.winners
     assert print_pltl(atom) == "P>0.65 [F(a)]"
     assert atom.threshold == (1.0 + 0.3) / 2
@@ -291,7 +290,8 @@ def test_pts_margin_gate():
     sample = Sample.build([reach_chain(0.52)], [reach_chain(0.49)])
     wide = pts([parse_ltl("F(a)")], sample, 0.05)
     assert not wide.found
-    assert wide.kept == ((parse_ltl("F(a)"), (0.52,), (0.49,)),)
+    # F(a) classifies both chains alone, missing only delta: not pooled
+    assert wide.discards == () and wide.pooled == ()
     tight = pts([parse_ltl("F(a)")], sample, 0.01)
     assert tight.found
     assert tight.winners[0][0].threshold == (0.52 + 0.49) / 2
@@ -302,7 +302,7 @@ def test_pts_discards_never_positive_bodies():
     sample = Sample.build([blank], [reach_chain(0.3)])
     res = pts([parse_ltl("F(a)")], sample, 0.05)
     assert res.discards == (parse_ltl("F(a)"),)
-    assert res.kept == ()
+    assert res.pooled == ()
 
 
 def test_pts_discards_always_negative_bodies():
@@ -320,7 +320,8 @@ def test_pts_discard_looks_at_whole_vector():
     sample = Sample.build([chain], [reach_chain(0.3)])
     res = pts([parse_ltl("X(a)")], sample, 0.05)
     assert res.discards == ()
-    assert res.kept[0][1] == (0.0,)
+    # 0 at the only positive root, so not pooled either
+    assert res.pooled == ()
 
 
 def test_pts_scan_of_until_family_size_two():
@@ -330,16 +331,13 @@ def test_pts_scan_of_until_family_size_two():
     res = pts(size_bucket(state, 2), sample, 0.05)
     assert not res.found
     assert {print_ltl(f) for f in res.discards} == {"F(!a)", "F(!b)", "G(a)", "G(b)"}
-    assert len(res.kept) == 8
-    # the pool filter keeps only bodies informative at the root
-    scored = {
-        print_ltl(f): (pos, neg)
-        for f, pos, neg in res.kept
-        if not (all(v == 0.0 for v in pos) or all(v == 1.0 for v in neg))
-    }
+    # Of the 8 survivors, only the bodies informative at the root are
+    # pooled.  F(b) is 0.9375 and G(!b) 0.0625 on all four chains, so
+    # each is right on one side only, at the widest gap's midpoint.
+    scored = {print_pltl(s.atom): (s.count, s.misses, s.admits) for s in res.pooled}
     assert scored == {
-        "F(b)": ((0.9375, 0.9375), (0.9375, 0.9375)),
-        "G(!b)": ((0.0625, 0.0625), (0.0625, 0.0625)),
+        "P>0.46875 [F(b)]": (2, 0b00, 0b11),
+        "P>0.53125 [G(!b)]": (2, 0b11, 0b00),
     }
 
 
@@ -371,7 +369,7 @@ def test_pts_stats_count_engine_calls():
 
 def _pts_by_body(formulas, sample, delta):
     """The scan as one plain loop: every body on every chain, from scratch."""
-    consistent, discards, kept = [], [], []
+    consistent, discards, pooled = [], [], []
     for f in formulas:
         pvecs = [check_ltl(m, f) for m in sample.positive]
         nvecs = [check_ltl(m, f) for m in sample.negative]
@@ -384,13 +382,15 @@ def _pts_by_body(formulas, sample, delta):
             all(x == 1.0 for x in v.values) for v in nvecs
         ):
             discards.append(f)
-        else:
-            kept.append((f, pos, neg))
+        elif max(pos) > 0.0 and min(neg) < 1.0:
+            atom = make_scored(f, pos, neg)
+            if atom.count < len(pos) + len(neg):
+                pooled.append(atom)
     if consistent:
         top = max(m for _, m in consistent)
         winners = tuple((a, m) for a, m in consistent if m == top)
         return PtsResult(True, winners, tuple(consistent), (), ())
-    return PtsResult(False, (), (), tuple(discards), tuple(kept))
+    return PtsResult(False, (), (), tuple(discards), tuple(pooled))
 
 
 def test_pts_refines_each_shared_prefix_once(monkeypatch):
@@ -554,28 +554,62 @@ def test_best_threshold_is_optimal(pos, neg):
     assert c == grid_best
 
 
+# Values an ulp away from 0, 1 and interior values, where a midpoint can
+# round onto one of the two values it splits.
+_near = st.sampled_from((0.0, 0.25, 0.5, 1.0 - 2**-10, 1.0)).flatmap(
+    lambda x: st.sampled_from((x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)))
+)
+_value = st.one_of(_near, st.floats(min_value=0.0, max_value=1.0))
+
+
+@given(st.lists(_value, min_size=1, max_size=5), st.lists(_value, min_size=1, max_size=5))
+def test_threshold_lies_strictly_between_values(pos, neg):
+    r, c = best_threshold(pos, neg)
+    assert 0.0 < r < 1.0
+    vals = sorted({*pos, *neg, 0.0, 1.0})
+    assert any(a < r < b for a, b in zip(vals, vals[1:]))
+    s = make_scored(parse_ltl("F(a)"), tuple(pos), tuple(neg))
+    assert s.atom.threshold == r
+    assert s.misses == sum(1 << i for i, v in enumerate(pos) if v < r)
+    assert s.admits == sum(1 << i for i, v in enumerate(neg) if v > r)
+    right = len(pos) + len(neg) - s.misses.bit_count() - s.admits.bit_count()
+    assert s.count == right == c
+
+
+def test_learn_threshold_never_rounds_onto_a_value():
+    # The midpoint of 1 - 2**-53 and 1 rounds to 1.0; no atom takes it,
+    # and the search runs out.
+    sample = Sample.build([reach_chain(1.0)], [reach_chain(1 - 2**-53)] * 2)
+    with pytest.raises(NoSolutionError):
+        learn(sample, LearnConfig(max_size=2, max_depth=1))
+
+
 def test_make_scored_sigma_and_bits():
     s = make_scored(parse_ltl("F(a)"), (0.9, 0.8), (0.4,))
     assert s.count == 3
     assert s.size == 2
     assert abs(s.sigma - 3.0 / (1.0 + math.sqrt(2.0))) <= 1e-12
-    assert s.pos_bits == (True, True)
-    assert s.neg_bits == (False,)
+    assert (s.misses, s.admits) == (0, 0)
     assert s.atom.body == parse_ltl("F(a)")
+    # at 0.5, positive 1 (0.05) is missed and negative 1 (0.95) admitted
+    s = make_scored(parse_ltl("F(a)"), (0.9, 0.05), (0.1, 0.95))
+    assert s.atom.threshold == 0.5
+    assert (s.count, s.misses, s.admits) == (2, 0b10, 0b10)
 
 
 # ---------------------------------------------------------------------------
 # Boolean combinations
 
 def _cand(text, count, pos_bits, neg_bits, threshold=0.5):
+    """A pooled atom that holds on the chains whose bit is True."""
     body = parse_ltl(text)
     return ScoredCandidate(
         atom=PltlAtom(threshold, body),
         size=body.size,
         count=count,
         sigma=count / (1.0 + math.sqrt(body.size)),
-        pos_bits=pos_bits,
-        neg_bits=neg_bits,
+        misses=sum(1 << i for i, holds in enumerate(pos_bits) if not holds),
+        admits=sum(1 << i for i, holds in enumerate(neg_bits) if holds),
     )
 
 
@@ -856,6 +890,16 @@ def test_discards_stay_degenerate_under_wrapping():
 
 # ---------------------------------------------------------------------------
 # Threshold-formula semantics
+
+
+def pltl_holds(m, f):
+    """Whether chain m alone satisfies f: each atom's value at m's initial
+    state is compared with its threshold, and the truths folded with &
+    and |."""
+    if isinstance(f, PltlAtom):
+        return check_ltl(m, f.body).init > f.threshold
+    left, right = pltl_holds(m, f.left), pltl_holds(m, f.right)
+    return left and right if isinstance(f, PltlAnd) else left or right
 
 
 def test_pltl_holds_is_strict():
