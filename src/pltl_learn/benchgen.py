@@ -4,6 +4,7 @@ Each family plants a target property: the positive chains satisfy a
 thresholded version of it with a wide margin and the negative chains do
 not, while every syntactically smaller candidate is either constant
 across the sample or separated by less than the default margin delta.
+conjunction_sample keeps that only at its default masses (see there).
 
 Generators are deterministic.  The samplers take only a seed: seed=0
 keeps the documented default parameters; other seeds pick from small
@@ -177,11 +178,11 @@ def conjunction_sample(seed: int = 0) -> Sample:
     """Planted target: both signals eventually, as a Boolean combination.
 
     Positives see a and b (in either order) with high probability; each
-    negative reliably sees only one of them.  All masses are multiples
-    of 1/128, so the probability of reaching a is an identical float on
-    both positives and the a-heavy negative (likewise for b), and no
-    single atom within the size budget separates the sides; the learner
-    is forced to combine F(a) and F(b).
+    negative reliably sees only one of them.  Masses are multiples of
+    1/128, and neither F(a) nor F(b) separates the sides by delta.  Only
+    the default masses (seeds 0, 2, 15, ...) force their combination: on
+    the other 8 of the 9 (positive, negative) mass pairs, the size-4
+    atoms (F(a) U b) and (F(b) U a) separate by 0.0625 to 0.1875 first.
     """
     (p,), (n,) = _variant(seed, (_CONJ_POS[:1], _CONJ_POS), (_CONJ_NEG[:1], _CONJ_NEG))
     pos = [two_signal_chain(*p), two_signal_chain(*_mirror(p))]
@@ -348,12 +349,12 @@ def write_sample(
         for i, m in enumerate(getattr(sample, side)):
             stem = f"{side[:3]}_{i}"
             if fmt == "json":
-                (outdir / f"{stem}.json").write_text(dtmc_to_json(m))
+                (outdir / f"{stem}.json").write_text(dtmc_to_json(m), encoding="utf-8")
                 manifest[side].append({"format": "json", "path": f"{stem}.json"})
             elif fmt == "prism":
                 tra, lab = dtmc_to_prism(m)
-                (outdir / f"{stem}.tra").write_text(tra)
-                (outdir / f"{stem}.lab").write_text(lab)
+                (outdir / f"{stem}.tra").write_text(tra, encoding="utf-8")
+                (outdir / f"{stem}.lab").write_text(lab, encoding="utf-8")
                 manifest[side].append(
                     {"format": "prism-explicit", "tra": f"{stem}.tra", "lab": f"{stem}.lab"}
                 )
@@ -362,7 +363,7 @@ def write_sample(
     if params:
         manifest["params"] = dict(params)
     path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
 
 

@@ -10,32 +10,38 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 from . import benchgen
-from .dtmc import Dtmc, DtmcError, Sample, parse_json_dtmc, parse_prism_explicit
+from .dtmc import Dtmc, DtmcError, Sample, load_json, parse_json_dtmc, parse_prism_explicit
 from .engine import LinearSolveError, check_ltl
 from .learner import EngineFailure, LearnConfig, NoSolutionError, learn
 from .ltl import parse_ltl, print_pltl
+
+
+def _read_chain(path: Path, lab: Path | None = None) -> Dtmc:
+    """A JSON chain file, or a PRISM explicit .tra file with its .lab file."""
+    if lab is None:
+        return parse_json_dtmc(path.read_text(encoding="utf-8"))
+    return parse_prism_explicit(path.read_text(encoding="utf-8"), lab.read_text(encoding="utf-8"))
 
 
 def _load_chain(entry: dict, base: Path) -> Dtmc:
     if not isinstance(entry, dict):
         raise DtmcError(f"chain entry {entry!r} is not an object")
 
-    def read(key: str) -> str:
+    def path(key: str) -> Path:
         name = entry[key]
         if not isinstance(name, str):
             raise DtmcError(f"chain entry {key!r} must be a string, got {type(name).__name__}")
-        return (base / name).read_text()
+        return base / name
 
     fmt = entry.get("format", "json")
     if fmt == "json":
-        return parse_json_dtmc(read("path"))
+        return _read_chain(path("path"))
     if fmt == "prism-explicit":
-        return parse_prism_explicit(read("tra"), read("lab"))
+        return _read_chain(path("tra"), path("lab"))
     raise DtmcError(f"unknown chain format {fmt!r}")
 
 
@@ -56,43 +62,27 @@ def _print_stats(s) -> None:
 
 
 def _cmd_learn(args) -> int:
-    manifest_path = Path(args.sample)
-    try:
-        doc = json.loads(manifest_path.read_text())
-    except RecursionError:
-        raise DtmcError("manifest nested too deeply") from None
+    doc = load_json(args.sample.read_text(encoding="utf-8"), "manifest JSON")
     if not isinstance(doc, dict):
         raise DtmcError("a manifest must be a JSON object")
-    base = manifest_path.resolve().parent
+    base = args.sample.resolve().parent
     for side in ("positive", "negative"):
         if not isinstance(doc.get(side), list):
             raise DtmcError(f"manifest lacks a {side!r} list")
     positive = [_load_chain(e, base) for e in doc["positive"]]
     negative = [_load_chain(e, base) for e in doc["negative"]]
-    ap = doc.get("ap")
-    if ap is not None and not (isinstance(ap, list) and all(isinstance(a, str) for a in ap)):
-        raise DtmcError("manifest ap must be a list of names")
-    sample = Sample.build(positive, negative, ap)
+    sample = Sample.build(positive, negative, doc.get("ap"))
 
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise DtmcError("manifest params must be an object")
-
-    if args.max_size is None and params.get("max_size") is None:
+    # A flag overrides params; what neither gives keeps LearnConfig's
+    # default, and LearnConfig checks what is given.
+    keys = ("max_size", "max_depth", "delta", "bool_limit")
+    given = {k: params[k] for k in keys if k in params}
+    given |= {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    if given.get("max_size") is None:
         raise DtmcError("a size bound is required (--max-size or params.max_size)")
-    # A flag overrides params; what neither gives keeps LearnConfig's default.
-    given = {}
-    keys = (("max_size", int), ("max_depth", int), ("delta", (int, float)), ("bool_limit", int))
-    for key, kind in keys:
-        value = getattr(args, key)
-        if value is None:
-            if key not in params:
-                continue
-            value = params[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            what = "an integer" if kind is int else "a number"
-            raise DtmcError(f"params.{key} must be {what}, got {type(value).__name__}")
-        given[key] = value
     config = LearnConfig(**given, eager_return=args.eager_return, all_minimal=args.all_minimal)
     try:
         result = learn(sample, config)
@@ -109,13 +99,10 @@ def _cmd_learn(args) -> int:
 
 def _cmd_check(args) -> int:
     formula = parse_ltl(args.formula)
-    model = Path(args.model)
-    if model.suffix == ".tra" or args.lab is not None:
-        lab = Path(args.lab) if args.lab is not None else model.with_suffix(".lab")
-        m = parse_prism_explicit(model.read_text(), lab.read_text())
-    else:
-        m = parse_json_dtmc(model.read_text())
-    vec = check_ltl(m, formula)
+    lab = args.lab
+    if lab is None and args.model.suffix == ".tra":
+        lab = args.model.with_suffix(".lab")
+    vec = check_ltl(_read_chain(args.model, lab), formula)
     for i, v in enumerate(vec.values):
         print(f"state {i}: {v:.9f}")
     print(f"v_I = {vec.init:.9f}")
@@ -144,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_learn = sub.add_parser("learn", help="learn a formula from a sample manifest")
-    p_learn.add_argument("--sample", required=True, help="manifest.json describing the sample")
+    p_learn.add_argument("--sample", type=Path, required=True, help="manifest.json describing the sample")
     p_learn.add_argument("-K", "--max-size", type=int, default=None, help="formula size bound")
     p_learn.add_argument("-D", "--max-depth", type=int, default=None, help="temporal depth bound")
     p_learn.add_argument("--delta", type=float, default=None, help="required atom margin")
@@ -157,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.set_defaults(func=_cmd_learn)
 
     p_check = sub.add_parser("check", help="print per-state probabilities of a formula")
-    p_check.add_argument("--model", required=True, help="chain file: .json, or .tra with a sibling .lab")
+    p_check.add_argument("--model", type=Path, required=True, help="chain file: .json, or .tra with a sibling .lab")
     p_check.add_argument("--formula", required=True, help="LTL formula, e.g. 'F(a & F(b))'")
-    p_check.add_argument("--lab", help="PRISM .lab file when not named like the .tra")
+    p_check.add_argument("--lab", type=Path, help="PRISM .lab file when not named like the .tra")
     p_check.set_defaults(func=_cmd_check)
 
     p_gen = sub.add_parser("benchgen", help="write a bundled benchmark sample")

@@ -154,10 +154,9 @@ class Sample:
         positive: list[Dtmc], negative: list[Dtmc], ap: list[str] | None = None
     ) -> "Sample":
         if ap is None:
-            names: set[str] = set()
-            for m in [*positive, *negative]:
-                names |= set(m.ap)
-            ap = sorted(names)
+            ap = sorted({a for m in (*positive, *negative) for a in m.ap})
+        elif not isinstance(ap, (list, tuple)) or not all(isinstance(a, str) for a in ap):
+            raise DtmcError("ap must be a list of names")
         ap_t = tuple(ap)
         return Sample(
             tuple(project(m, ap_t) for m in positive),
@@ -273,6 +272,17 @@ def _json(v, kind: type, what: str):
     return v
 
 
+def load_json(text: str, what: str = "JSON"):
+    """json.loads, with every way it fails as DtmcError("bad <what>: ...")."""
+    try:
+        return json.loads(text)
+    except ValueError as e:
+        # JSONDecodeError, or an integer past int's digit limit.
+        raise DtmcError(f"bad {what}: {e}") from None
+    except RecursionError:
+        raise DtmcError(f"bad {what}: nested too deeply") from None
+
+
 def _decimal(tok: str, err: str) -> int:
     """The integer tok writes as its plain ASCII decimal; DtmcError(err)
     for any other token, since int() alone also reads " 3 ", "+5", "03",
@@ -301,13 +311,7 @@ def parse_json_dtmc(text: str) -> Dtmc:
     lists of names), transitions (list of [src, dst, prob]: integers and
     a number within the float range, none of them true or false).
     """
-    try:
-        doc = json.loads(text)
-    except ValueError as e:
-        # JSONDecodeError, or an integer past int's digit limit.
-        raise DtmcError(f"bad JSON: {e}") from None
-    except RecursionError:
-        raise DtmcError("bad JSON: nested too deeply") from None
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise DtmcError(f"a chain must be a JSON object, got {type(doc).__name__}")
     for key in ("states", "init", "ap", "labels", "transitions"):

@@ -24,6 +24,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import chain, product
+from numbers import Integral, Real
 from typing import ClassVar
 
 import numpy as np
@@ -81,6 +82,8 @@ class LearnConfig:
     delta is the required margin between the worst positive and best
     negative probability before a single atom counts as consistent.
     bool_limit caps the high-score list used for Boolean combinations.
+    delta is a real number and the other three integers, none a bool; a
+    field of another type or out of range raises ValueError naming it.
     A consistent single atom ends the search at its size either way;
     eager_return also ends it at the first Boolean combination found,
     where the search would otherwise go on through the sizes below the
@@ -97,6 +100,11 @@ class LearnConfig:
     all_minimal: bool = False
 
     def __post_init__(self):
+        for name in ("max_size", "max_depth", "bool_limit", "delta"):
+            kind, what = (Real, "a number") if name == "delta" else (Integral, "an integer")
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"{name} must be {what}, got {type(value).__name__}")
         if self.max_size < 1:
             raise ValueError("max_size must be at least 1")
         if self.max_depth < 0:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pltl_learn import benchgen
 from pltl_learn.benchgen import (
     KINDS,
     conjunction_sample,
@@ -177,6 +178,26 @@ def test_conjunction_sample_planted_formula():
         # but neither eventuality separates on its own
         for single in (planted.left, planted.right):
             assert not check_consistency(single, sample), seed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="8 of the 9 mass pairs are separated by the size-4 atom (F(a) U b) first",
+)
+def test_every_conjunction_variant_learns_a_size_5_conjunction():
+    # Each (positive, negative) pair of masses that a seed can draw.
+    config = LearnConfig(**KINDS["conjunction"][1])
+    missed = []
+    for p in benchgen._CONJ_POS:
+        for n in benchgen._CONJ_NEG:
+            sample = Sample.build(
+                [two_signal_chain(*p), two_signal_chain(*benchgen._mirror(p))],
+                [two_signal_chain(*n), two_signal_chain(*benchgen._mirror(n))],
+            )
+            result = learn(sample, config)
+            if result.size != 5 or not all(isinstance(f, PltlAnd) for f in result.formulas):
+                missed.append((p, n))
+    assert missed == []
 
 
 def test_until_sample_planted_formula():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,22 @@ def test_learn_stats_lines_per_family(tmp_path, capsys, name):
     assert lines[:-1] == _STATS[name]
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", sorted(_STATS))
+def test_learn_prism_manifest_matches_json(tmp_path, capsys, name, seed):
+    # Everything learn prints but the phase times, from each format's manifest.
+    outputs = []
+    for fmt in ("json", "prism"):
+        out = tmp_path / fmt
+        argv = ("benchgen", "--name", name, "--out", str(out), "--seed", str(seed), "--format", fmt)
+        assert run(capsys, *argv)[0] == 0
+        rc, stdout, err = run(capsys, "learn", "--sample", str(out / "manifest.json"), "--stats")
+        assert rc == 0
+        assert err.splitlines()[-1].startswith("stats[phase]: ")
+        outputs.append((stdout, err.splitlines()[:-1]))
+    assert outputs[0] == outputs[1]
+
+
 def test_learn_jobs_flag_is_unknown(safety_dir, capsys):
     with pytest.raises(SystemExit) as e:
         main(["learn", "--sample", str(safety_dir / "manifest.json"), "--jobs", "2"])
@@ -220,7 +240,7 @@ def test_learn_manifest_bad_json(tmp_path, capsys):
     (tmp_path / "manifest.json").write_text("{broken")
     rc, _, err = run(capsys, "learn", "--sample", str(tmp_path / "manifest.json"))
     assert rc == 2
-    assert err.startswith("error:")
+    assert err.startswith("error: bad manifest JSON: Expecting property name")
 
 
 _ONE_STATE = {"states": 1, "init": 0, "ap": [], "labels": {}, "transitions": [[0, 0, 1.0]]}
@@ -290,6 +310,8 @@ def _manifest(params):
         ("check", json.dumps(_ONE_STATE).replace("[0, 0, 1.0]", f"[0, 0, {_HUGE}]")),
         ("check", "[" * 200_000),
         ("learn", "[" * 200_000),
+        ("check", b"\xff\xfe"),
+        ("learn", b"\xff\xfe"),
     ],
     ids=[
         "model-int",
@@ -336,13 +358,18 @@ def _manifest(params):
         "row-prob-past-digit-limit",
         "chain-nested",
         "manifest-nested",
+        "chain-not-utf8",
+        "manifest-not-utf8",
     ],
 )
 def test_malformed_json_exits_two(tmp_path, capsys, command, doc):
     (tmp_path / "chain.json").write_text(json.dumps(_ONE_STATE))
     path = tmp_path / "doc.json"
-    # A string is the file's raw text.
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    # A string is the file's raw text, and bytes its raw bytes.
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     if command == "check":
         argv = ("check", "--model", str(path), "--formula", "F(a)")
     else:
@@ -585,6 +612,31 @@ def test_benchgen_learn_pipeline_until(tmp_path, capsys):
     rc, stdout, _ = run(capsys, "learn", "--sample", str(out / "manifest.json"))
     assert rc == 0
     assert stdout == "P>0.65625 [(!a U b)]  margin=0.437500\n"
+
+
+def test_text_io_names_its_encoding(tmp_path):
+    # With an unnamed text encoding an error, every file read and written
+    # must name UTF-8 rather than fall back to the locale's codec.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    python = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    js, pr = tmp_path / "json", tmp_path / "prism"
+    for argv in [
+        ("benchgen", "--name", "safety", "--out", str(js)),
+        ("benchgen", "--name", "safety", "--out", str(pr), "--format", "prism"),
+        ("learn", "--sample", str(js / "manifest.json")),
+        ("learn", "--sample", str(pr / "manifest.json")),
+        ("check", "--model", str(js / "pos_0.json"), "--formula", "G(!h)"),
+        ("check", "--model", str(pr / "pos_0.tra"), "--formula", "G(!h)"),
+    ]:
+        proc = subprocess.run(
+            [*python, "-m", "pltl_learn.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 def test_usage_error_exits_two():

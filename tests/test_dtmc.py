@@ -445,6 +445,12 @@ def test_sample_build_explicit_alphabet_projects():
     assert s.positive[0].labels == (frozenset(), frozenset({"a"}))
 
 
+@pytest.mark.parametrize("ap", ["ab", [1], [["a"]], {"a": 1}], ids=["str", "int", "list", "dict"])
+def test_sample_build_rejects_an_alphabet_that_is_not_a_list_of_names(ap):
+    with pytest.raises(DtmcError, match="ap must be a list of names"):
+        Sample.build([_chain()], [_chain()], ap)
+
+
 def test_sample_needs_both_sides():
     with pytest.raises(DtmcError, match="each side"):
         Sample.build([], [_chain()])

@@ -1,7 +1,9 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,6 +88,30 @@ def test_config_validation():
             LearnConfig(max_size=2, delta=bad)
     with pytest.raises(ValueError, match="bool_limit"):
         LearnConfig(max_size=2, bool_limit=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_size", 2.5),
+        ("max_size", True),
+        ("max_size", None),
+        ("max_depth", 1.5),
+        ("max_depth", np.bool_(True)),
+        ("bool_limit", 2.5),
+        ("delta", "0.05"),
+        ("delta", False),
+        ("delta", None),
+    ],
+)
+def test_config_rejects_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an? "):
+        LearnConfig(**{"max_size": 4, field: value})
+
+
+def test_config_accepts_numpy_and_exact_numbers():
+    config = LearnConfig(max_size=np.int64(3), max_depth=np.int32(1), delta=Fraction(1, 20))
+    assert (config.max_size, config.max_depth, config.delta) == (3, 1, Fraction(1, 20))
 
 
 # ---------------------------------------------------------------------------
