@@ -21,17 +21,22 @@ split into components, the maximal sets linked by transitions in
 either direction, and each component gets its own linear
 systems, the ones it would get alone; no transition joins two chains of
 a ``dtmc.disjoint_union``, so a union is scored in one call and each
-chain's slice of it takes that chain's own values.  The size rule has
-one cutover, _SCC_MIN (64 unknowns).  A component of fewer states is one
-block; a larger one is split into strongly connected components by two
-passes over the chain's rows and predecessor lists, and they are solved
-one at a time in reverse topological order (each after every component
-it reaches), so a block's right-hand side reads its solved successors.
-_system alone builds a block's system, once, as one {column: value} dict
-per row; a block below the cutover is solved as a dense matrix by
-solve_linear, one at or above it by sparse elimination in Markowitz
-order, whose time and memory follow its nonzeros and fill-ins.  The
-values come back as one read-only memoryview over a float64 array.
+chain's slice of it takes that chain's own values.  A component falls
+in one of three tiers.  One of one or two states is one block, solved
+in closed form by _solve_small with solve_linear's own float operations,
+so its values are solve_linear's bits, without numpy's per-call costs.  One
+of 3 to 63 states is one block, solved as a dense matrix by
+solve_linear.  One of _SCC_MIN (64) states or more is split into
+strongly connected components by two passes over the chain's rows and
+predecessor lists, and they are solved one at a time in reverse
+topological order (each after every component it reaches), so a
+block's right-hand side reads its solved successors; a block below
+_SCC_MIN, a single state included, goes to solve_linear, one at or
+above it to sparse elimination in Markowitz order, whose time and
+memory follow its nonzeros and fill-ins.  _system alone builds a
+block's system, once, as one {column: value} dict per row, whichever
+solver takes it.  The values come back as one read-only memoryview
+over a float64 array.
 
 Graph preprocessing pins impossible states to exactly 0.0 and almost-sure
 states to exactly 1.0, so downstream exact-equality tests on degenerate
@@ -70,7 +75,8 @@ _BRANCH_EPS = 1e-12
 
 # A component of at least this many undecided states is solved SCC by SCC,
 # and a block of at least this many by sparse elimination; smaller ones
-# are one dense system, which skips the SCC passes' and the dicts' overhead.
+# are one dense system (or a closed form, for a component of one or two
+# states), which skips the SCC passes' and the dicts' overhead.
 _SCC_MIN = 64
 
 
@@ -88,7 +94,10 @@ def solve_linear(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     The elimination works on one copy of A; A and c are only read.
     Raises SingularSystemError when no pivot above 1e-12 exists and
     LinearSolveError when the residual of the computed solution exceeds
-    1e-9 * (1 + max|c|).
+    1e-9 * (1 + max|c|).  _until_vec calls it, through _solve_dense, for
+    a whole component of 3 to 63 undecided states and for an SCC block
+    below _SCC_MIN; _solve_small repeats its arithmetic on components
+    of one or two states.
     """
     A0 = np.asarray(A, dtype=float)
     c0 = np.asarray(c, dtype=float)
@@ -221,12 +230,58 @@ def _system(rows, block: list[int], out: list[float]):
 
 def _solve_dense(U: list[dict[int, float]], c: list[float]) -> list[float]:
     """_system's (U, c) as one dense matrix, through solve_linear.  Each
-    entry is written once, as the 1.0 - q or 0.0 - q that U holds."""
+    entry is written once, as the 1.0 - q or 0.0 - q that U holds.  The
+    tier for a whole component of 3 to 63 states and for an SCC block
+    below _SCC_MIN, and _solve_small's judge of a residual near its
+    bound."""
     A = np.zeros((len(c), len(c)))
     for j, row in enumerate(U):
         for i, v in row.items():
             A[j, i] = v
     return solve_linear(A, np.array(c)).tolist()
+
+
+def _solve_small(U: list[dict[int, float]], c: list[float]) -> list[float]:
+    """_system's (U, c) of one or two unknowns in closed form: the same
+    float operations, in the same order, as solve_linear's elimination
+    of them, so the same bits.  (Its one-term dot product turns -0.0
+    into 0.0; c never holds -0.0, which _system builds by adding
+    nonnegative terms to 0.0.)
+
+    The pivot floor is solve_linear's: the row with the larger first
+    entry goes first (the first row on a tie), and a pivot below 1e-12
+    raises SingularSystemError naming its column.  So is the residual
+    bound, 1e-9 * (1 + max|c|), but solve_linear's A @ x may round a
+    two-term row differently (BLAS may fuse the multiply-add), by less
+    than 1e-14 of the row's terms; a residual not that far inside the
+    bound is left to _solve_dense, which then raises solve_linear's
+    LinearSolveError or returns these same values.
+    """
+    if len(c) == 1:
+        u00, s0 = U[0][0], c[0]
+        if abs(u00) < 1e-12:
+            raise SingularSystemError("no usable pivot in column 0")
+        x = [s0 / u00]
+    else:
+        r0, r1 = ([row.get(0, 0.0), row.get(1, 0.0), cj] for row, cj in zip(U, c))
+        if abs(r1[0]) > abs(r0[0]):
+            r0, r1 = r1, r0
+        (u00, u01, s0), (u10, u11, s1) = r0, r1
+        if abs(u00) < 1e-12:
+            raise SingularSystemError("no usable pivot in column 0")
+        f = u10 / u00
+        u11 -= f * u01
+        s1 -= f * s0
+        if abs(u11) < 1e-12:
+            raise SingularSystemError("no usable pivot in column 1")
+        x1 = s1 / u11
+        x = [(s0 - u01 * x1) / u00, x1]
+    bound = 1e-9 * (1.0 + max(map(abs, c)))
+    for row, cj in zip(U, c):
+        terms = [v * x[i] for i, v in row.items()]
+        if not abs(sum(terms) - cj) + 1e-14 * (sum(map(abs, terms)) + abs(cj)) <= bound:
+            return _solve_dense(U, c)
+    return x
 
 
 def _solve_sparse(U: list[dict[int, float]], c: list[float]) -> list[float]:
@@ -325,13 +380,15 @@ def _until_vec(rows, preds, a: list[bool], b: list[bool]) -> list[float]:
     The undecided states are split into components, each a maximal set
     linked by transitions in either direction, taken in order of their
     smallest state; a component's rows reach no undecided state outside
-    it, so its systems are the ones it gives alone.  A component of at
-    least _SCC_MIN states is split by _sccs and solved one SCC at a time,
-    each block after the blocks it reaches, which are then known.
-    _system builds each block's system once; one of fewer than _SCC_MIN
-    unknowns (a whole component or one SCC) goes to _solve_dense, a
-    larger one (always an SCC) to _solve_sparse.  The values are clamped
-    to [0, 1].
+    it, so its systems are the ones it gives alone.  _system builds each
+    block's system once, and the component's size picks the tier:
+    - one or two states: one block, to _solve_small's closed form;
+    - 3 to 63 states: one block, to _solve_dense;
+    - _SCC_MIN (64) states or more: split by _sccs and solved one SCC
+      at a time, each block after the blocks it reaches, which are then
+      known; a block below _SCC_MIN (even of one state) goes to
+      _solve_dense, a larger one to _solve_sparse.
+    The values are clamped to [0, 1].
     """
     pending = [x and not y for x, y in zip(a, b)]
     # Positive probability: b is reachable through pending states.
@@ -360,7 +417,10 @@ def _until_vec(rows, preds, a: list[bool], b: list[bool]) -> list[float]:
         comp.sort()
         blocks = _sccs(rows, preds, comp) if len(comp) >= _SCC_MIN else [comp]
         for block in blocks:
-            solve = _solve_sparse if len(block) >= _SCC_MIN else _solve_dense
+            if len(comp) <= 2:
+                solve = _solve_small
+            else:
+                solve = _solve_sparse if len(block) >= _SCC_MIN else _solve_dense
             for i, v in zip(block, solve(*_system(rows, block, out))):
                 out[i] = min(1.0, max(0.0, v))
     return out

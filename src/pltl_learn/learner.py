@@ -195,7 +195,6 @@ class SearchState:
     has min(max_depth, n - 1) + 1 lists.
     """
 
-    ap: tuple[str, ...]
     max_depth: int
     buckets: dict[int, list[list[LtlFormula]]]
     stats: RunStats
@@ -207,7 +206,6 @@ def gbe_init(ap, max_depth: int = 2, stats: RunStats | None = None) -> SearchSta
     if not ap:
         raise ValueError("at least one atomic proposition is required")
     state = SearchState(
-        ap=ap,
         max_depth=max_depth,
         buckets={},
         stats=stats if stats is not None else RunStats(),

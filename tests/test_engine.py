@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import chains
 from chains import fg_oracle, gf_oracle, next_prob, until_prob
@@ -108,6 +109,73 @@ def test_solve_random_diagonally_dominant():
 
 def test_singular_is_a_linear_solve_error():
     assert issubclass(SingularSystemError, LinearSolveError)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms for whole components of one or two undecided states
+
+
+def _outcome(solve, *args):
+    """A solver's answer as bytes, or its error as (type, message)."""
+    try:
+        return np.asarray(solve(*args), dtype=float).tobytes()
+    except LinearSolveError as err:
+        return type(err), str(err)
+
+
+def _small_outcomes(U, c):
+    """engine._solve_small's outcome on (U, c), and solve_linear's on the
+    same system as a dense matrix (through engine._solve_dense)."""
+    return _outcome(engine._solve_small, U, c), _outcome(engine._solve_dense, U, c)
+
+
+@st.composite
+def _small_systems(draw):
+    """engine._system's (U, c) for a block of one or two states whose rows
+    step among the block and two states valued in [0, 1] outside it."""
+    n = draw(st.integers(1, 2))
+    mass = st.floats(0.0, 1.0)
+    out = [0.0] * n + [draw(mass), draw(mass)]
+    rows = [list(draw(st.dictionaries(st.integers(0, n + 1), mass, max_size=4)).items()) for _ in range(n)]
+    return engine._system(rows, list(range(n)), out)
+
+
+@given(_small_systems())
+def test_closed_form_equals_solve_linear_bit_for_bit(system):
+    got, want = _small_outcomes(*system)
+    assert got == want
+
+
+# The rows of I - Q; each Q row sums to at most one.
+_EDGE_SYSTEMS = {
+    # |u10| > |u00|, so solve_linear exchanges the rows.
+    "row-swap": ([{0: 0.3, 1: -0.1}, {0: -0.4, 1: 0.9}], [0.1, 0.4]),
+    # |u10| == |u00|: no exchange, which here gives other bits than one.
+    "pivot-tie": ([{0: 0.3, 1: -0.1}, {0: -0.3, 1: 0.75}], [0.1, 0.4]),
+    "pivot-column-0-of-1": ([{0: 2.0**-41}], [2.0**-42]),
+    "pivot-column-0-of-2": ([{0: 2.0**-41, 1: 0.0}, {0: -(2.0**-42), 1: 0.5}], [0.0, 0.5]),
+    # Two states that swap, with a leak below the floor.
+    "pivot-column-1": ([{0: 1.0, 1: -(1.0 - 2.0**-41)}, {0: -1.0, 1: 1.0}], [2.0**-41, 0.0]),
+    "zero-rhs-of-1": ([{0: 0.5}], [0.0]),
+    "zero-rhs-of-2": ([{0: 0.75, 1: -0.25}, {0: -0.5, 1: 1.0}], [0.0, 0.0]),
+    # Rows that each leak 2**-34, with a right-hand side far from the
+    # leaks: the residual is about 9e-8.
+    "residual": ([{0: 0.7, 1: -(0.7 - 2.0**-34)}, {0: -0.4, 1: 0.4 + 2.0**-34}], [1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", _EDGE_SYSTEMS)
+def test_closed_form_edge_cases_equal_solve_linear(name):
+    got, want = _small_outcomes(*_EDGE_SYSTEMS[name])
+    assert got == want
+    if name.startswith("pivot-column"):
+        assert want == (SingularSystemError, f"no usable pivot in column {name.split('-')[2]}")
+    elif name == "residual":
+        assert want[0] is LinearSolveError and want[1].startswith("residual ")
+    else:
+        assert isinstance(want, bytes)
+    if name.startswith("zero-rhs"):
+        assert want == bytes(len(want))
 
 
 def _sparse_system(rng, n):
@@ -640,6 +708,22 @@ def test_prob_vector_is_frozen():
 # Disjoint unions
 
 
+def _record_systems(monkeypatch):
+    """Copies of every (U, c) that engine._system assembles, in order.
+    Each component or SCC block is assembled there once, whichever
+    solver then takes it."""
+    systems = []
+    original = engine._system
+
+    def recording(rows, block, out):
+        U, c = original(rows, block, out)
+        systems.append(([dict(row) for row in U], list(c)))
+        return U, c
+
+    monkeypatch.setattr(engine, "_system", recording)
+    return systems
+
+
 @pytest.mark.parametrize("seed", [1, 3, 8])
 def test_union_parts_match_each_chain_alone_bit_for_bit(seed, monkeypatch):
     rng = random.Random(seed)
@@ -657,17 +741,15 @@ def test_union_parts_match_each_chain_alone_bit_for_bit(seed, monkeypatch):
     for m in ms:
         starts.append(starts[-1] + m.n_states)
     bodies = _bodies(("a", "b"), 4)
-    solves = []
-    original = engine.solve_linear
-    monkeypatch.setattr(engine, "solve_linear", lambda A, c: solves.append(1) or original(A, c))
+    systems = _record_systems(monkeypatch)
     on_union = dict(check_each(union, bodies))
     # one system per component, as many as the chains solve alone in the
     # same walk
-    union_solves = len(solves)
+    union_solves = len(systems)
     for m in ms:
         for _ in check_each(m, bodies):
             pass
-    assert union_solves == len(solves) - union_solves > 0
+    assert union_solves == len(systems) - union_solves > 0
     for j, f in enumerate(bodies):
         got = on_union[j]
         assert got.init == got.values[ms[0].init]
@@ -689,9 +771,7 @@ def test_chain_of_two_pieces_matches_the_oracles_and_its_union_slice(monkeypatch
             (5, 5, 1.0), (6, 6, 0.5), (6, 4, 0.5),
         ],
     )
-    dims = []
-    original = engine.solve_linear
-    monkeypatch.setattr(engine, "solve_linear", lambda A, c: dims.append(len(c)) or original(A, c))
+    systems = _record_systems(monkeypatch)
     not_a = lambda s: "a" not in m.labels[s]  # noqa: E731
     cases = {
         "F(a)": until_prob(m, chains._true, "a"),
@@ -708,9 +788,47 @@ def test_chain_of_two_pieces_matches_the_oracles_and_its_union_slice(monkeypatch
         on_union = check_ltl(union, parse_ltl(text)).values[other.n_states :]
         assert on_union.tobytes() == got.tobytes(), text
     # F(a) leaves both pieces undecided: states 0-1 and state 4 solve apart.
-    dims.clear()
+    systems.clear()
     check_ltl(m, parse_ltl("F(a)"))
-    assert dims == [2, 1]
+    assert [len(c) for _, c in systems] == [2, 1]
+
+
+def test_one_round_mixes_closed_form_and_dense_components(monkeypatch):
+    # For F(a), state 0 alone, states 1-2 and states 3-5 are undecided
+    # components; state 6 (a) is pinned to 1 and state 7 to 0.
+    m = _mk(
+        8,
+        0,
+        [()] * 6 + [("a",), ()],
+        [
+            (0, 0, 0.25), (0, 6, 0.25), (0, 7, 0.5),
+            (1, 2, 0.5), (1, 6, 0.25), (1, 7, 0.25),
+            (2, 1, 0.5), (2, 6, 0.125), (2, 7, 0.375),
+            (3, 4, 0.5), (3, 7, 0.5),
+            (4, 5, 0.5), (4, 6, 0.25), (4, 7, 0.25),
+            (5, 3, 0.75), (5, 6, 0.25),
+            (6, 6, 1.0), (7, 7, 1.0),
+        ],
+    )
+    systems = _record_systems(monkeypatch)
+    dense = []
+    solve_dense = engine._solve_dense
+    monkeypatch.setattr(engine, "_solve_dense", lambda U, c: dense.append(len(c)) or solve_dense(U, c))
+    f = parse_ltl("F(a)")
+    got = check_ltl(m, f).values
+    # One round, three systems; only the three-state one is solved densely.
+    assert [len(c) for _, c in systems] == [1, 2, 3]
+    assert dense == [3]
+    _assert_matches(got, until_prob(m, chains._true, "a"), "F(a)")
+    assert all(0.0 < v < 1.0 for v in got[:6])
+    for chains_in_union in ([m, C1], [C5, m, m]):
+        union = disjoint_union(chains_in_union)
+        values = check_ltl(union, f).values
+        lo = 0
+        for part in chains_in_union:
+            assert values[lo : lo + part.n_states].tobytes() == check_ltl(part, f).values.tobytes()
+            lo += part.n_states
+        assert lo == union.n_states
 
 
 def test_undecided_states_joined_only_through_decided_ones_solve_apart(monkeypatch):
@@ -729,11 +847,9 @@ def test_undecided_states_joined_only_through_decided_ones_solve_apart(monkeypat
             (4, 4, 1.0), (5, 5, 1.0),
         ],
     )
-    dims = []
-    original = engine.solve_linear
-    monkeypatch.setattr(engine, "solve_linear", lambda A, c: dims.append(len(c)) or original(A, c))
+    systems = _record_systems(monkeypatch)
     check_ltl(m, parse_ltl("F(a)"))
-    assert dims == [2, 1]
+    assert [len(c) for _, c in systems] == [2, 1]
     not_a = lambda s: "a" not in m.labels[s]  # noqa: E731
     cases = {
         "F(a)": until_prob(m, chains._true, "a"),
@@ -758,14 +874,7 @@ def test_union_solves_each_part_alone_in_the_same_round(monkeypatch):
     right = _mk(
         3, 0, [(), ("a",), ()], [(0, 0, 0.25), (0, 1, 0.25), (0, 2, 0.5), (1, 1, 1.0), (2, 2, 1.0)]
     )
-    systems = []
-    original = engine.solve_linear
-
-    def recording(A, c):
-        systems.append((A.tolist(), c.tolist()))
-        return original(A, c)
-
-    monkeypatch.setattr(engine, "solve_linear", recording)
+    systems = _record_systems(monkeypatch)
     f = parse_ltl("F(a)")
     alone = [tuple(check_ltl(m, f).values) for m in (left, right)]
     alone_systems = list(systems)

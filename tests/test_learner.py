@@ -521,10 +521,11 @@ def test_pts_engine_failure_names_the_chain_first_in_scan_order(monkeypatch):
     f = parse_ltl("(F(a) | F(b))")
     assert [print_ltl(psi) for psi in temporal_subformulas(f)] == ["F(a)", "F(b)"]
 
-    def failing(A, c):
+    def failing(rows, block, out):
         raise LinearSolveError("forced")
 
-    monkeypatch.setattr(engine, "solve_linear", failing)
+    # Every system is assembled by _system, whichever solver takes it.
+    monkeypatch.setattr(engine, "_system", failing)
     sample = Sample.build([x], [RETRY, y], ap=["a", "b"])
     ms = [*sample.positive, *sample.negative]
     for m, rounds_done in ((disjoint_union(ms), 0), (ms[0], 1), (ms[2], 0)):
