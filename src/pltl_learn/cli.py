@@ -32,6 +32,8 @@ def _load_chain(entry: dict, base: Path) -> Dtmc:
         raise DtmcError(f"chain entry {entry!r} is not an object")
 
     def path(key: str) -> Path:
+        if key not in entry:
+            raise DtmcError(f"chain entry lacks {key!r}")
         name = entry[key]
         if not isinstance(name, str):
             raise DtmcError(f"chain entry {key!r} must be a string, got {type(name).__name__}")
@@ -79,6 +81,9 @@ def _cmd_learn(args) -> int:
     # A flag overrides params; what neither gives keeps LearnConfig's
     # default, and LearnConfig checks what is given.
     keys = ("max_size", "max_depth", "delta", "bool_limit")
+    for k in params:
+        if k not in keys:
+            raise DtmcError(f"unknown key {k!r} in manifest params")
     given = {k: params[k] for k in keys if k in params}
     given |= {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
     if given.get("max_size") is None:
@@ -88,6 +93,8 @@ def _cmd_learn(args) -> int:
         result = learn(sample, config)
     except NoSolutionError as e:
         print(e, file=sys.stderr)
+        if args.stats:
+            _print_stats(e.stats)
         return 1
     for f, margin in zip(result.formulas, result.margins):
         shown = "n/a" if margin is None else f"{margin:.6f}"
@@ -170,9 +177,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError, LinearSolveError, EngineFailure) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except KeyError as e:
-        print(f"error: missing key {e}", file=sys.stderr)
         return 2
 
 

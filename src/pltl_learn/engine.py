@@ -16,27 +16,13 @@ refines that chain again; the last round of a body never needs them.
 check_each scores many bodies on one chain in prefix-trie order of
 their subformula sequences with one RefinementLog, so rounds a body
 shares with the previous one are not refined again and the chain's
-initial refinement is built once.  A round's undecided states are
-split into components, the maximal sets linked by transitions in
-either direction, and each component gets its own linear
-systems, the ones it would get alone; no transition joins two chains of
-a ``dtmc.disjoint_union``, so a union is scored in one call and each
-chain's slice of it takes that chain's own values.  A component falls
-in one of three tiers.  One of one or two states is one block, solved
-in closed form by _solve_small with solve_linear's own float operations,
-so its values are solve_linear's bits, without numpy's per-call costs.  One
-of 3 to 63 states is one block, solved as a dense matrix by
-solve_linear.  One of _SCC_MIN (64) states or more is split into
-strongly connected components by two passes over the chain's rows and
-predecessor lists, and they are solved one at a time in reverse
-topological order (each after every component it reaches), so a
-block's right-hand side reads its solved successors; a block below
-_SCC_MIN, a single state included, goes to solve_linear, one at or
-above it to sparse elimination in Markowitz order, whose time and
-memory follow its nonzeros and fill-ins.  _system alone builds a
-block's system, once, as one {column: value} dict per row, whichever
-solver takes it.  The values come back as one read-only memoryview
-over a float64 array.
+initial refinement is built once.  Each round's undecided states are
+solved component by component, each as it would be alone; no
+transition joins two chains of a ``dtmc.disjoint_union``, so a union is
+scored in one call and each chain's slice of it takes that chain's own
+values.  _until_vec states which solver takes which system and the
+contract they all keep.  The values come back as one read-only
+memoryview over a float64 array.
 
 Graph preprocessing pins impossible states to exactly 0.0 and almost-sure
 states to exactly 1.0, so downstream exact-equality tests on degenerate
@@ -73,11 +59,12 @@ __all__ = [
 # the conditioned rows would otherwise divide by a vanishing factor.
 _BRANCH_EPS = 1e-12
 
-# A component of at least this many undecided states is solved SCC by SCC,
-# and a block of at least this many by sparse elimination; smaller ones
-# are one dense system (or a closed form, for a component of one or two
-# states), which skips the SCC passes' and the dicts' overhead.
+# The size at which _until_vec splits a component into SCCs and solves
+# a block by sparse elimination.
 _SCC_MIN = 64
+
+# No solver divides by a pivot below this.
+_PIVOT_MIN = 1e-12
 
 
 class LinearSolveError(RuntimeError):
@@ -88,43 +75,46 @@ class SingularSystemError(LinearSolveError):
     pass
 
 
-def solve_linear(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve Ax = c by Gaussian elimination with partial pivoting.
+def _pivot(v: float, k: int) -> float:
+    """v, the pivot of elimination step k, if |v| is at least _PIVOT_MIN."""
+    if abs(v) < _PIVOT_MIN:
+        raise SingularSystemError(f"no usable pivot in column {k}")
+    return v
 
-    The elimination works on one copy of A; A and c are only read.
-    Raises SingularSystemError when no pivot above 1e-12 exists and
-    LinearSolveError when the residual of the computed solution exceeds
-    1e-9 * (1 + max|c|).  _until_vec calls it, through _solve_dense, for
-    a whole component of 3 to 63 undecided states and for an SCC block
-    below _SCC_MIN; _solve_small repeats its arithmetic on components
-    of one or two states.
+
+def _residual_bound(c: list[float]) -> float:
+    """The largest residual a solve of (U, c) may leave."""
+    return 1e-9 * (1.0 + max(map(abs, c)))
+
+
+def solve_linear(U: list[dict[int, float]], c: list[float]) -> list[float]:
+    """_system's (U, c) by dense Gaussian elimination with partial
+    pivoting, on a matrix that holds each entry of U as written there.
+    U and c are only read; the residual is A @ x - c for that matrix A.
     """
-    A0 = np.asarray(A, dtype=float)
-    c0 = np.asarray(c, dtype=float)
-    n = c0.shape[0]
-    if A0.shape != (n, n):
-        raise ValueError(f"shape mismatch: A is {A0.shape}, c has {n} entries")
-    if n == 0:
-        return np.zeros(0)
-    U = A0.copy()
-    rhs = c0.copy()
+    n = len(c)
+    A = np.zeros((n, n))
+    for j, row in enumerate(U):
+        for i, v in row.items():
+            A[j, i] = v
+    M = A.copy()
+    rhs = np.array(c)
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(U[k:, k])))
-        if abs(U[piv, k]) < 1e-12:
-            raise SingularSystemError(f"no usable pivot in column {k}")
+        piv = k + int(np.argmax(np.abs(M[k:, k])))
+        _pivot(M[piv, k], k)
         if piv != k:
-            U[[k, piv]] = U[[piv, k]]
+            M[[k, piv]] = M[[piv, k]]
             rhs[[k, piv]] = rhs[[piv, k]]
-        factors = U[k + 1 :, k] / U[k, k]
-        U[k + 1 :, k:] -= np.outer(factors, U[k, k:])
+        factors = M[k + 1 :, k] / M[k, k]
+        M[k + 1 :, k:] -= np.outer(factors, M[k, k:])
         rhs[k + 1 :] -= factors * rhs[k]
     x = np.zeros(n)
     for k in range(n - 1, -1, -1):
-        x[k] = (rhs[k] - U[k, k + 1 :] @ x[k + 1 :]) / U[k, k]
-    resid = float(np.max(np.abs(A0 @ x - c0)))
-    if not resid <= 1e-9 * (1.0 + float(np.max(np.abs(c0)))):
+        x[k] = (rhs[k] - M[k, k + 1 :] @ x[k + 1 :]) / M[k, k]
+    resid = float(np.max(np.abs(A @ x - c)))
+    if not resid <= _residual_bound(c):
         raise LinearSolveError(f"residual {resid} too large")
-    return x
+    return x.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -228,59 +218,36 @@ def _system(rows, block: list[int], out: list[float]):
     return U, c
 
 
-def _solve_dense(U: list[dict[int, float]], c: list[float]) -> list[float]:
-    """_system's (U, c) as one dense matrix, through solve_linear.  Each
-    entry is written once, as the 1.0 - q or 0.0 - q that U holds.  The
-    tier for a whole component of 3 to 63 states and for an SCC block
-    below _SCC_MIN, and _solve_small's judge of a residual near its
-    bound."""
-    A = np.zeros((len(c), len(c)))
-    for j, row in enumerate(U):
-        for i, v in row.items():
-            A[j, i] = v
-    return solve_linear(A, np.array(c)).tolist()
-
-
 def _solve_small(U: list[dict[int, float]], c: list[float]) -> list[float]:
     """_system's (U, c) of one or two unknowns in closed form: the same
     float operations, in the same order, as solve_linear's elimination
     of them, so the same bits.  (Its one-term dot product turns -0.0
     into 0.0; c never holds -0.0, which _system builds by adding
-    nonnegative terms to 0.0.)
+    nonnegative terms to 0.0.)  The row with the larger first entry
+    goes first, the first row on a tie.
 
-    The pivot floor is solve_linear's: the row with the larger first
-    entry goes first (the first row on a tie), and a pivot below 1e-12
-    raises SingularSystemError naming its column.  So is the residual
-    bound, 1e-9 * (1 + max|c|), but solve_linear's A @ x may round a
-    two-term row differently (BLAS may fuse the multiply-add), by less
-    than 1e-14 of the row's terms; a residual not that far inside the
-    bound is left to _solve_dense, which then raises solve_linear's
-    LinearSolveError or returns these same values.
+    solve_linear's A @ x may round a two-term row differently (BLAS may
+    fuse the multiply-add), by less than 1e-14 of the row's terms; a
+    residual not that far inside the bound is left to solve_linear,
+    which then raises its LinearSolveError or returns these same values.
     """
     if len(c) == 1:
-        u00, s0 = U[0][0], c[0]
-        if abs(u00) < 1e-12:
-            raise SingularSystemError("no usable pivot in column 0")
-        x = [s0 / u00]
+        x = [c[0] / _pivot(U[0][0], 0)]
     else:
         r0, r1 = ([row.get(0, 0.0), row.get(1, 0.0), cj] for row, cj in zip(U, c))
         if abs(r1[0]) > abs(r0[0]):
             r0, r1 = r1, r0
         (u00, u01, s0), (u10, u11, s1) = r0, r1
-        if abs(u00) < 1e-12:
-            raise SingularSystemError("no usable pivot in column 0")
-        f = u10 / u00
+        f = u10 / _pivot(u00, 0)
         u11 -= f * u01
         s1 -= f * s0
-        if abs(u11) < 1e-12:
-            raise SingularSystemError("no usable pivot in column 1")
-        x1 = s1 / u11
+        x1 = s1 / _pivot(u11, 1)
         x = [(s0 - u01 * x1) / u00, x1]
-    bound = 1e-9 * (1.0 + max(map(abs, c)))
+    bound = _residual_bound(c)
     for row, cj in zip(U, c):
         terms = [v * x[i] for i, v in row.items()]
         if not abs(sum(terms) - cj) + 1e-14 * (sum(map(abs, terms)) + abs(cj)) <= bound:
-            return _solve_dense(U, c)
+            return solve_linear(U, c)
     return x
 
 
@@ -293,11 +260,11 @@ def _solve_sparse(U: list[dict[int, float]], c: list[float]) -> list[float]:
     comes the unknown with the fewest (row nonzeros - 1) * (column
     nonzeros - 1), from a heap whose stale entries are skipped.  A block
     here is an SCC that leaks, so I - Q is a nonsingular M-matrix,
-    diagonally dominant by rows, that needs no row exchanges.
-    solve_linear's contract holds: a pivot below 1e-12 raises
-    SingularSystemError naming the elimination step, and a residual
-    above 1e-9 * (1 + max|c|) against a copy of U as assembled, summed
-    left to right, raises LinearSolveError.
+    diagonally dominant by rows, that needs no row exchanges.  The
+    residual is taken against a copy of U as assembled and summed left
+    to right, not by solve_linear's BLAS product: on an ill-conditioned
+    system whose right-hand side exceeds its rows' leak, this sum may
+    pass where solve_linear raises.
     """
     k = len(c)
     A = [dict(row) for row in U]
@@ -320,9 +287,7 @@ def _solve_sparse(U: list[dict[int, float]], c: list[float]) -> list[float]:
         if done[p] or m != cost(p):
             continue
         row = U[p]
-        piv = row[p]
-        if abs(piv) < 1e-12:
-            raise SingularSystemError(f"no usable pivot in column {len(order)}")
+        piv = _pivot(row[p], len(order))
         done[p] = True
         order.append(p)
         for j in row:
@@ -357,7 +322,7 @@ def _solve_sparse(U: list[dict[int, float]], c: list[float]) -> list[float]:
         for i, v in row.items():
             r -= v * x[i]
         resid = max(resid, abs(r))
-    if not resid <= 1e-9 * (1.0 + max(map(abs, c0))):
+    if not resid <= _residual_bound(c0):
         raise LinearSolveError(f"residual {resid} too large")
     return x
 
@@ -382,13 +347,19 @@ def _until_vec(rows, preds, a: list[bool], b: list[bool]) -> list[float]:
     smallest state; a component's rows reach no undecided state outside
     it, so its systems are the ones it gives alone.  _system builds each
     block's system once, and the component's size picks the tier:
-    - one or two states: one block, to _solve_small's closed form;
-    - 3 to 63 states: one block, to _solve_dense;
+    - one or two states: one block, to _solve_small's closed form, which
+      gives solve_linear's bits without numpy's per-call costs;
+    - 3 to _SCC_MIN - 1 (63) states: one block, to solve_linear's dense
+      elimination;
     - _SCC_MIN (64) states or more: split by _sccs and solved one SCC
       at a time, each block after the blocks it reaches, which are then
       known; a block below _SCC_MIN (even of one state) goes to
-      _solve_dense, a larger one to _solve_sparse.
-    The values are clamped to [0, 1].
+      solve_linear, a larger one to _solve_sparse, whose time and memory
+      follow the block's nonzeros and fill-ins.
+    Every solver keeps one contract: a pivot below _PIVOT_MIN raises
+    SingularSystemError naming its elimination step, and a residual
+    max|Ux - c| above _residual_bound(c) raises LinearSolveError.  The
+    values are clamped to [0, 1].
     """
     pending = [x and not y for x, y in zip(a, b)]
     # Positive probability: b is reachable through pending states.
@@ -420,7 +391,7 @@ def _until_vec(rows, preds, a: list[bool], b: list[bool]) -> list[float]:
             if len(comp) <= 2:
                 solve = _solve_small
             else:
-                solve = _solve_sparse if len(block) >= _SCC_MIN else _solve_dense
+                solve = _solve_sparse if len(block) >= _SCC_MIN else solve_linear
             for i, v in zip(block, solve(*_system(rows, block, out))):
                 out[i] = min(1.0, max(0.0, v))
     return out

@@ -171,10 +171,14 @@ class EngineFailure(RuntimeError):
 
 
 class NoSolutionError(Exception):
-    def __init__(self, max_size: int, max_depth: int, delta: float):
+    """The bounded space holds no consistent formula; stats holds the
+    counters of the search that found none."""
+
+    def __init__(self, max_size: int, max_depth: int, delta: float, stats: RunStats):
         self.max_size = max_size
         self.max_depth = max_depth
         self.delta = delta
+        self.stats = stats
         super().__init__(
             f"no formula in the search space "
             f"(K={max_size}, D={max_depth}, delta={delta:g})"
@@ -577,7 +581,7 @@ def learn(sample: Sample, config: LearnConfig) -> LearnResult:
             break
 
     if run.best is None:
-        raise NoSolutionError(config.max_size, config.max_depth, config.delta)
+        raise NoSolutionError(config.max_size, config.max_depth, config.delta, stats)
     for f, _ in run.best:
         if not check_consistency(f, sample):
             raise RuntimeError(

@@ -126,6 +126,22 @@ def test_learn_stats_go_to_stderr(safety_dir, capsys):
     assert "stats[phase]:" in err
 
 
+def test_learn_stats_print_on_exit_one(safety_dir, capsys):
+    rc, out, err = run(
+        capsys, "learn", "--sample", str(safety_dir / "manifest.json"), "-K", "1", "--stats"
+    )
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[:-1] == [
+        "no formula in the search space (K=1, D=2, delta=0.05)",
+        "stats: constructed=2 pruned_temporal=0 pruned_boolean=0 checked=2 discarded=0"
+        " pooled=0 combos_tried=0 engine_calls=8",
+        "stats[size 1]: constructed=2 pruned_temporal=0 pruned_boolean=0 checked=2 discarded=0 pooled=0",
+    ]
+    assert lines[-1].startswith("stats[phase]: ")
+
+
 _STATS = {
     "reach": [
         "stats: constructed=8 pruned_temporal=0 pruned_boolean=0 checked=8 discarded=0"
@@ -290,6 +306,9 @@ def _manifest(params):
         ("learn", _manifest({"max_size": 1, "bool_limit": None})),
         ("learn", {**_manifest({"max_size": 1}), "ap": [[1]]}),
         ("learn", {**_manifest({"max_size": 1}), "ap": [1]}),
+        ("learn", _manifest({"max_size": 4, "max_depht": 0, "detla": 0.09})),
+        ("learn", {"positive": [{"format": "json"}], "negative": [_ENTRY]}),
+        ("learn", {"positive": [{"format": "prism-explicit", "tra": "chain.json"}], "negative": [_ENTRY]}),
         ("check", {**_ONE_STATE, "states": 10**15}),
         ("check", {**_ONE_STATE, "transitions": [[0.9, 0, 1.0]]}),
         ("check", {**_ONE_STATE, "transitions": [[False, 0, 1.0]]}),
@@ -338,6 +357,9 @@ def _manifest(params):
         "bool-limit-null",
         "manifest-ap-nested-list",
         "manifest-ap-int-name",
+        "params-unknown-key",
+        "entry-path-missing",
+        "entry-lab-missing",
         "states-huge",
         "row-float-src",
         "row-bool-src",
@@ -378,6 +400,27 @@ def test_malformed_json_exits_two(tmp_path, capsys, command, doc):
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["path", "tra", "lab"])
+def test_chain_entry_missing_key_is_named(tmp_path, capsys, key):
+    entry = _ENTRY if key == "path" else _PRISM_ENTRY
+    doc = {"positive": [{k: v for k, v in entry.items() if k != key}], "negative": [_ENTRY]}
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "learn", "--sample", str(tmp_path / "manifest.json"))
+    assert rc == 2
+    assert err == f"error: chain entry lacks {key!r}\n"
+
+
+def test_key_error_inside_learn_escapes_main(safety_dir, monkeypatch):
+    # A KeyError from inside the search is a bug, not bad input: main
+    # must not turn it into exit 2.
+    def broken(sample, config):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "learn", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["learn", "--sample", str(safety_dir / "manifest.json")])
 
 
 def test_prism_state_count_above_transitions_exits_two(tmp_path, capsys):

@@ -55,25 +55,31 @@ C5 = _mk(
 # Linear solver
 
 
+def _rows(A):
+    """A matrix as engine._system's rows: one {column: value} dict per
+    row, holding every entry, zeros included."""
+    return [dict(enumerate(row)) for row in np.asarray(A, dtype=float).tolist()]
+
+
 def test_solve_identity():
-    c = np.array([0.25, -1.0, 3.0])
-    assert np.array_equal(solve_linear(np.eye(3), c), c)
+    c = [0.25, -1.0, 3.0]
+    assert solve_linear(_rows(np.eye(3)), c) == c
 
 
 def test_solve_scalar():
-    assert solve_linear(np.array([[0.5]]), np.array([0.5]))[0] == pytest.approx(1.0)
+    assert solve_linear(_rows([[0.5]]), [0.5])[0] == pytest.approx(1.0)
 
 
 def test_solve_requires_pivoting():
-    x = solve_linear(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([2.0, 3.0]))
+    x = solve_linear(_rows([[0.0, 1.0], [1.0, 0.0]]), [2.0, 3.0])
     assert np.allclose(x, [3.0, 2.0])
 
 
 def test_solve_singular():
     with pytest.raises(SingularSystemError):
-        solve_linear(np.zeros((2, 2)), np.zeros(2))
+        solve_linear(_rows(np.zeros((2, 2))), [0.0, 0.0])
     with pytest.raises(SingularSystemError):
-        solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+        solve_linear(_rows([[1.0, 1.0], [1.0, 1.0]]), [1.0, 2.0])
 
 
 @pytest.mark.parametrize(
@@ -84,18 +90,9 @@ def test_solve_singular():
 def test_solve_non_finite_solution_is_a_linear_solve_error(A, c):
     # A NaN residual compares False with any bound; the oracle checks it
     # the same way.
-    for solve in (solve_linear, chains.dense_solve):
+    for solve, args in ((solve_linear, (_rows(A), c)), (chains.dense_solve, (np.array(A), np.array(c)))):
         with pytest.raises(LinearSolveError, match="residual"), np.errstate(invalid="ignore"):
-            solve(np.array(A), np.array(c))
-
-
-def test_solve_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        solve_linear(np.eye(3), np.zeros(2))
-
-
-def test_solve_empty_system():
-    assert solve_linear(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+            solve(*args)
 
 
 def test_solve_random_diagonally_dominant():
@@ -104,7 +101,7 @@ def test_solve_random_diagonally_dominant():
         A = rng.uniform(-1.0, 1.0, size=(20, 20))
         A += np.diag(21.0 * np.sign(np.diag(A)) + np.diag(A))
         c = rng.uniform(-5.0, 5.0, size=20)
-        assert np.allclose(solve_linear(A, c), np.linalg.solve(A, c), atol=1e-9)
+        assert np.allclose(solve_linear(_rows(A), c.tolist()), np.linalg.solve(A, c), atol=1e-9)
 
 
 def test_singular_is_a_linear_solve_error():
@@ -124,9 +121,8 @@ def _outcome(solve, *args):
 
 
 def _small_outcomes(U, c):
-    """engine._solve_small's outcome on (U, c), and solve_linear's on the
-    same system as a dense matrix (through engine._solve_dense)."""
-    return _outcome(engine._solve_small, U, c), _outcome(engine._solve_dense, U, c)
+    """engine._solve_small's outcome on (U, c), and solve_linear's."""
+    return _outcome(engine._solve_small, U, c), _outcome(solve_linear, U, c)
 
 
 @st.composite
@@ -178,6 +174,22 @@ def test_closed_form_edge_cases_equal_solve_linear(name):
         assert want == bytes(len(want))
 
 
+def test_sparse_residual_is_summed_left_to_right():
+    # The residual edge system's right-hand side, 1.0, is far above its
+    # rows' leak, 2**-34.  solve_linear's BLAS product leaves a residual
+    # above the bound; _solve_sparse sums its residual left to right and
+    # passes the same system.
+    U, c = _EDGE_SYSTEMS["residual"]
+    with pytest.raises(LinearSolveError, match="^residual "):
+        solve_linear(U, c)
+    x = engine._solve_sparse([dict(row) for row in U], list(c))
+    for row, cj in zip(U, c):
+        r = cj
+        for i, v in row.items():
+            r -= v * x[i]
+        assert abs(r) <= engine._residual_bound(c)
+
+
 def _sparse_system(rng, n):
     # I - Q for a substochastic Q with at most three successors per row,
     # the rest of each row's mass going to the target: the shape of the
@@ -224,14 +236,15 @@ def test_solve_matches_dense_elimination_bit_for_bit():
     systems += [_grid_system(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12))) for _ in range(40)]
     systems += [_dense_system(rng, int(rng.integers(1, 40))) for _ in range(60)]
     for A, c in systems:
-        assert np.array_equal(solve_linear(A, c), chains.dense_solve(A, c))
+        assert np.array_equal(solve_linear(_rows(A), c.tolist()), chains.dense_solve(A, c))
 
 
 def test_solve_leaves_its_inputs_unchanged():
     A, c = _grid_system(np.random.default_rng(79), 4, 3)
-    A0, c0 = A.copy(), c.copy()
-    solve_linear(A, c)
-    assert np.array_equal(A, A0) and np.array_equal(c, c0)
+    U, c = _rows(A), c.tolist()
+    U0, c0 = [dict(row) for row in U], c.copy()
+    solve_linear(U, c)
+    assert U == U0 and c == c0
 
 
 def test_solve_singular_names_the_dense_elimination_column():
@@ -244,7 +257,7 @@ def test_solve_singular_names_the_dense_elimination_column():
         with pytest.raises(SingularSystemError) as want:
             chains.dense_solve(A, c)
         with pytest.raises(SingularSystemError, match=f"^{want.value}$"):
-            solve_linear(A, c)
+            solve_linear(_rows(A), c.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -812,8 +825,8 @@ def test_one_round_mixes_closed_form_and_dense_components(monkeypatch):
     )
     systems = _record_systems(monkeypatch)
     dense = []
-    solve_dense = engine._solve_dense
-    monkeypatch.setattr(engine, "_solve_dense", lambda U, c: dense.append(len(c)) or solve_dense(U, c))
+    solve = engine.solve_linear
+    monkeypatch.setattr(engine, "solve_linear", lambda U, c: dense.append(len(c)) or solve(U, c))
     f = parse_ltl("F(a)")
     got = check_ltl(m, f).values
     # One round, three systems; only the three-state one is solved densely.
@@ -1076,7 +1089,7 @@ def test_no_dense_system_reaches_the_cutover(n, monkeypatch):
         sparse.append(len(c))
         return solve_sparse(U, c)
 
-    monkeypatch.setattr(engine, "solve_linear", lambda A, c: dense.append(len(c)) or solve(A, c))
+    monkeypatch.setattr(engine, "solve_linear", lambda U, c: dense.append(len(c)) or solve(U, c))
     monkeypatch.setattr(engine, "_solve_sparse", spy_sparse)
     for text, want in (("G(F(a))", gf_oracle(m, "a")), ("F(G(b))", fg_oracle(m, "b"))):
         _assert_matches(check_ltl(m, parse_ltl(text)).values, want, text)
@@ -1120,7 +1133,7 @@ def test_long_line_of_singleton_components_matches_the_closed_form(monkeypatch):
     m = _mk(n + 2, 0, [()] * n + [("a",), ()], edges)
     dims = []
     original = engine.solve_linear
-    monkeypatch.setattr(engine, "solve_linear", lambda A, c: dims.append(len(c)) or original(A, c))
+    monkeypatch.setattr(engine, "solve_linear", lambda U, c: dims.append(len(c)) or original(U, c))
     got = check_ltl(m, parse_ltl("F(a)")).values
     assert len(dims) == n and set(dims) == {1}
     want = [1.0 - (1.0 - p) ** (n - i) for i in range(n)] + [1.0, 0.0]
