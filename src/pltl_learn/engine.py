@@ -20,8 +20,9 @@ initial refinement is built once.  Each round's undecided states are
 solved component by component, each as it would be alone; no
 transition joins two chains of a ``dtmc.disjoint_union``, so a union is
 scored in one call and each chain's slice of it takes that chain's own
-values.  _until_vec states which solver takes which system and the
-contract they all keep.  The values come back as one read-only
+values.  _until_vec states which solver takes which system; the
+solvers only eliminate, and _checked tests every answer against its
+system with one residual check.  The values come back as one read-only
 memoryview over a float64 array.
 
 Graph preprocessing pins impossible states to exactly 0.0 and almost-sure
@@ -82,22 +83,30 @@ def _pivot(v: float, k: int) -> float:
     return v
 
 
-def _residual_bound(c: list[float]) -> float:
-    """The largest residual a solve of (U, c) may leave."""
-    return 1e-9 * (1.0 + max(map(abs, c)))
+def _checked(U: list[dict[int, float]], c: list[float], x: list[float]) -> list[float]:
+    """x, once it passes the one residual test for _system's (U, c): for
+    each row j, c[j] less U[j][i] * x[i] over the row's entries, left to
+    right, is at most 1e-9 * (1 + max|c|) in absolute value.  Otherwise,
+    a NaN residual included, LinearSolveError."""
+    bound = 1e-9 * (1.0 + max(map(abs, c)))
+    for row, r in zip(U, c):
+        for i, v in row.items():
+            r -= v * x[i]
+        if not abs(r) <= bound:
+            raise LinearSolveError(f"residual {abs(r)} too large")
+    return x
 
 
 def solve_linear(U: list[dict[int, float]], c: list[float]) -> list[float]:
     """_system's (U, c) by dense Gaussian elimination with partial
     pivoting, on a matrix that holds each entry of U as written there.
-    U and c are only read; the residual is A @ x - c for that matrix A.
+    U and c are only read.
     """
     n = len(c)
-    A = np.zeros((n, n))
+    M = np.zeros((n, n))
     for j, row in enumerate(U):
         for i, v in row.items():
-            A[j, i] = v
-    M = A.copy()
+            M[j, i] = v
     rhs = np.array(c)
     for k in range(n):
         piv = k + int(np.argmax(np.abs(M[k:, k])))
@@ -111,9 +120,6 @@ def solve_linear(U: list[dict[int, float]], c: list[float]) -> list[float]:
     x = np.zeros(n)
     for k in range(n - 1, -1, -1):
         x[k] = (rhs[k] - M[k, k + 1 :] @ x[k + 1 :]) / M[k, k]
-    resid = float(np.max(np.abs(A @ x - c)))
-    if not resid <= _residual_bound(c):
-        raise LinearSolveError(f"residual {resid} too large")
     return x.tolist()
 
 
@@ -224,51 +230,36 @@ def _solve_small(U: list[dict[int, float]], c: list[float]) -> list[float]:
     of them, so the same bits.  (Its one-term dot product turns -0.0
     into 0.0; c never holds -0.0, which _system builds by adding
     nonnegative terms to 0.0.)  The row with the larger first entry
-    goes first, the first row on a tie.
-
-    solve_linear's A @ x may round a two-term row differently (BLAS may
-    fuse the multiply-add), by less than 1e-14 of the row's terms; a
-    residual not that far inside the bound is left to solve_linear,
-    which then raises its LinearSolveError or returns these same values.
+    goes first, the first row on a tie.  U and c are only read.
     """
     if len(c) == 1:
-        x = [c[0] / _pivot(U[0][0], 0)]
-    else:
-        r0, r1 = ([row.get(0, 0.0), row.get(1, 0.0), cj] for row, cj in zip(U, c))
-        if abs(r1[0]) > abs(r0[0]):
-            r0, r1 = r1, r0
-        (u00, u01, s0), (u10, u11, s1) = r0, r1
-        f = u10 / _pivot(u00, 0)
-        u11 -= f * u01
-        s1 -= f * s0
-        x1 = s1 / _pivot(u11, 1)
-        x = [(s0 - u01 * x1) / u00, x1]
-    bound = _residual_bound(c)
-    for row, cj in zip(U, c):
-        terms = [v * x[i] for i, v in row.items()]
-        if not abs(sum(terms) - cj) + 1e-14 * (sum(map(abs, terms)) + abs(cj)) <= bound:
-            return solve_linear(U, c)
-    return x
+        return [c[0] / _pivot(U[0][0], 0)]
+    r0, r1 = ([row.get(0, 0.0), row.get(1, 0.0), cj] for row, cj in zip(U, c))
+    if abs(r1[0]) > abs(r0[0]):
+        r0, r1 = r1, r0
+    (u00, u01, s0), (u10, u11, s1) = r0, r1
+    f = u10 / _pivot(u00, 0)
+    u11 -= f * u01
+    s1 -= f * s0
+    x1 = s1 / _pivot(u11, 1)
+    return [(s0 - u01 * x1) / u00, x1]
 
 
 def _solve_sparse(U: list[dict[int, float]], c: list[float]) -> list[float]:
-    """_system's (U, c) by sparse Gaussian elimination of its row dicts,
-    in place, so time and memory follow the nonzeros and their fill-ins.
+    """_system's (U, c) by sparse Gaussian elimination of copies of its
+    row dicts, so time and memory follow the nonzeros and their fill-ins.
+    U and c are only read.
 
     Pivots are taken on the diagonal in Markowitz order (Markowitz, "The
     elimination form of the inverse...", Management Science 1957): next
     comes the unknown with the fewest (row nonzeros - 1) * (column
     nonzeros - 1), from a heap whose stale entries are skipped.  A block
     here is an SCC that leaks, so I - Q is a nonsingular M-matrix,
-    diagonally dominant by rows, that needs no row exchanges.  The
-    residual is taken against a copy of U as assembled and summed left
-    to right, not by solve_linear's BLAS product: on an ill-conditioned
-    system whose right-hand side exceeds its rows' leak, this sum may
-    pass where solve_linear raises.
+    diagonally dominant by rows, that needs no row exchanges.
     """
     k = len(c)
-    A = [dict(row) for row in U]
-    c0 = c.copy()
+    U = [dict(row) for row in U]
+    c = list(c)
     # cols[j]: the rows not yet eliminated with an entry in column j.
     cols: list[set[int]] = [set() for _ in range(k)]
     for i, row in enumerate(U):
@@ -317,13 +308,6 @@ def _solve_sparse(U: list[dict[int, float]], c: list[float]) -> list[float]:
             if j != p:
                 acc -= v * x[j]
         x[p] = acc / U[p][p]
-    resid = 0.0
-    for row, r in zip(A, c0):
-        for i, v in row.items():
-            r -= v * x[i]
-        resid = max(resid, abs(r))
-    if not resid <= _residual_bound(c0):
-        raise LinearSolveError(f"residual {resid} too large")
     return x
 
 
@@ -356,10 +340,12 @@ def _until_vec(rows, preds, a: list[bool], b: list[bool]) -> list[float]:
       known; a block below _SCC_MIN (even of one state) goes to
       solve_linear, a larger one to _solve_sparse, whose time and memory
       follow the block's nonzeros and fill-ins.
-    Every solver keeps one contract: a pivot below _PIVOT_MIN raises
-    SingularSystemError naming its elimination step, and a residual
-    max|Ux - c| above _residual_bound(c) raises LinearSolveError.  The
-    values are clamped to [0, 1].
+    The solvers only eliminate, and each raises SingularSystemError,
+    naming its elimination step, on a pivot below _PIVOT_MIN.  Every
+    block's answer is then checked once, the same way whichever solver
+    gave it: _checked takes the residual against (U, c) as _system built
+    it and raises LinearSolveError if it is above 1e-9 * (1 + max|c|) or
+    NaN.  The values are clamped to [0, 1].
     """
     pending = [x and not y for x, y in zip(a, b)]
     # Positive probability: b is reachable through pending states.
@@ -392,7 +378,8 @@ def _until_vec(rows, preds, a: list[bool], b: list[bool]) -> list[float]:
                 solve = _solve_small
             else:
                 solve = _solve_sparse if len(block) >= _SCC_MIN else solve_linear
-            for i, v in zip(block, solve(*_system(rows, block, out))):
+            U, c = _system(rows, block, out)
+            for i, v in zip(block, _checked(U, c, solve(U, c))):
                 out[i] = min(1.0, max(0.0, v))
     return out
 

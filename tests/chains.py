@@ -32,8 +32,9 @@ def dense_matrix(m: Dtmc) -> np.ndarray:
 
 def dense_solve(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Ax = c by dense Gaussian elimination with partial pivoting: every
-    step updates the whole trailing block.  Same pivot rule, errors and
-    residual check as engine.solve_linear."""
+    step updates the whole trailing block.  Same pivot rule and pivot
+    error as engine.solve_linear.  Its numpy residual, A @ x - c, is an
+    independent check of the answer, not the engine's _checked."""
     A0 = np.array(A, dtype=float)
     c0 = np.array(c, dtype=float)
     n = c0.shape[0]

@@ -1,11 +1,13 @@
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import chains
+import exact
 from chains import fg_oracle, gf_oracle, next_prob, until_prob
 from pltl_learn import cli, engine, learner
 from pltl_learn.benchgen import gridworld_mdp, gridworld_strategy, induced_dtmc
@@ -82,17 +84,51 @@ def test_solve_singular():
         solve_linear(_rows([[1.0, 1.0], [1.0, 1.0]]), [1.0, 2.0])
 
 
+# Every solver _until_vec picks from, each answer checked by _checked.
+_SOLVERS = [solve_linear, engine._solve_small, engine._solve_sparse]
+
+
 @pytest.mark.parametrize(
     "A, c",
     [([[np.nan]], [1.0]), ([[1.0, np.nan], [0.0, 1.0]], [1.0, 1.0]), ([[1.0]], [np.inf])],
     ids=["nan-pivot", "nan-entry", "inf-rhs"],
 )
 def test_solve_non_finite_solution_is_a_linear_solve_error(A, c):
-    # A NaN residual compares False with any bound; the oracle checks it
-    # the same way.
-    for solve, args in ((solve_linear, (_rows(A), c)), (chains.dense_solve, (np.array(A), np.array(c)))):
-        with pytest.raises(LinearSolveError, match="residual"), np.errstate(invalid="ignore"):
-            solve(*args)
+    # A NaN residual compares False with any bound, whichever solver gave
+    # the answer; the oracle checks it the same way.
+    U = _rows(A)
+    with np.errstate(invalid="ignore"):
+        for solve in _SOLVERS:
+            with pytest.raises(LinearSolveError, match="^residual nan too large$"):
+                engine._checked(U, c, solve(U, c))
+        with pytest.raises(LinearSolveError, match="residual"):
+            chains.dense_solve(np.array(A), np.array(c))
+
+
+def test_checked_raises_on_a_finite_residual_above_the_bound():
+    # The bound for c = [0.5] is 1.5e-9; the exact answer is 1.0, and
+    # these x leave residuals of 0, 2**-31 and 2**-27.
+    U, c = [{0: 0.5}], [0.5]
+    for x in ([1.0], [1.0 + 2.0**-30]):
+        assert engine._checked(U, c, x) is x
+    with pytest.raises(LinearSolveError, match=f"^residual {2.0**-27} too large$"):
+        engine._checked(U, c, [1.0 + 2.0**-26])
+
+
+def test_a_non_finite_sparse_solution_is_a_linear_solve_error(monkeypatch):
+    # The sparse tier's answer is checked like the others: a NaN raises
+    # instead of being clamped into [0, 1].
+    m = chains.sink_chain(random.Random(37), 150)
+    sizes = []
+
+    def nan_sparse(U, c):
+        sizes.append(len(c))
+        return [float("nan")] * len(c)
+
+    monkeypatch.setattr(engine, "_solve_sparse", nan_sparse)
+    with pytest.raises(LinearSolveError, match="^residual nan too large$"):
+        check_ltl(m, parse_ltl("G(F(a))"))
+    assert sizes and min(sizes) >= engine._SCC_MIN
 
 
 def test_solve_random_diagonally_dominant():
@@ -155,7 +191,7 @@ _EDGE_SYSTEMS = {
     "zero-rhs-of-1": ([{0: 0.5}], [0.0]),
     "zero-rhs-of-2": ([{0: 0.75, 1: -0.25}, {0: -0.5, 1: 1.0}], [0.0, 0.0]),
     # Rows that each leak 2**-34, with a right-hand side far from the
-    # leaks: the residual is about 9e-8.
+    # leaks: an ill-conditioned system whose solution is about 6.2e9.
     "residual": ([{0: 0.7, 1: -(0.7 - 2.0**-34)}, {0: -0.4, 1: 0.4 + 2.0**-34}], [1.0, 0.0]),
 }
 
@@ -166,28 +202,23 @@ def test_closed_form_edge_cases_equal_solve_linear(name):
     assert got == want
     if name.startswith("pivot-column"):
         assert want == (SingularSystemError, f"no usable pivot in column {name.split('-')[2]}")
-    elif name == "residual":
-        assert want[0] is LinearSolveError and want[1].startswith("residual ")
     else:
         assert isinstance(want, bytes)
     if name.startswith("zero-rhs"):
         assert want == bytes(len(want))
 
 
-def test_sparse_residual_is_summed_left_to_right():
+def test_every_solver_answers_the_ill_conditioned_edge_system_alike():
     # The residual edge system's right-hand side, 1.0, is far above its
-    # rows' leak, 2**-34.  solve_linear's BLAS product leaves a residual
-    # above the bound; _solve_sparse sums its residual left to right and
-    # passes the same system.
+    # rows' leak, 2**-34.  Every solver gives the same bits, about 1.7e-7
+    # from exact relative to the solution, and _checked accepts them, so
+    # no solver's answer is judged by another rule.
     U, c = _EDGE_SYSTEMS["residual"]
-    with pytest.raises(LinearSolveError, match="^residual "):
-        solve_linear(U, c)
-    x = engine._solve_sparse([dict(row) for row in U], list(c))
-    for row, cj in zip(U, c):
-        r = cj
-        for i, v in row.items():
-            r -= v * x[i]
-        assert abs(r) <= engine._residual_bound(c)
+    (x,) = {_outcome(solve, U, c) for solve in _SOLVERS}
+    x = np.frombuffer(x).tolist()
+    assert engine._checked(U, c, x) is x
+    for v, w in zip(x, exact.solve(U, c)):
+        assert abs(Fraction(v) - w) <= 2e-7 * w
 
 
 def _sparse_system(rng, n):
@@ -240,11 +271,12 @@ def test_solve_matches_dense_elimination_bit_for_bit():
 
 
 def test_solve_leaves_its_inputs_unchanged():
-    A, c = _grid_system(np.random.default_rng(79), 4, 3)
-    U, c = _rows(A), c.tolist()
-    U0, c0 = [dict(row) for row in U], c.copy()
-    solve_linear(U, c)
-    assert U == U0 and c == c0
+    A, rhs = _grid_system(np.random.default_rng(79), 4, 3)
+    for solve in _SOLVERS:
+        U, c = _EDGE_SYSTEMS["row-swap"] if solve is engine._solve_small else (_rows(A), rhs.tolist())
+        U0, c0 = [dict(row) for row in U], list(c)
+        solve(U, c)
+        assert U == U0 and c == c0, solve.__name__
 
 
 def test_solve_singular_names_the_dense_elimination_column():
@@ -258,6 +290,23 @@ def test_solve_singular_names_the_dense_elimination_column():
             chains.dense_solve(A, c)
         with pytest.raises(SingularSystemError, match=f"^{want.value}$"):
             solve_linear(_rows(A), c.tolist())
+
+
+def test_every_solver_is_within_1e_9_of_an_exact_solve(monkeypatch):
+    # The systems F and U rounds build on random chains: blocks of 1 to
+    # 20 states, each solved exactly from the floats as _system wrote them.
+    systems = _record_systems(monkeypatch)
+    rng = random.Random(97)
+    for _ in range(150):
+        m = chains.random_chain(rng)
+        for text in ("F(a)", "F(b)", "(a U b)", "(!b U a)"):
+            check_ltl(m, parse_ltl(text))
+    assert len(systems) > 200 and max(len(c) for _, c in systems) >= 10
+    for U, c in systems:
+        want = exact.solve(U, c)
+        for solve in _SOLVERS if len(c) <= 2 else (solve_linear, engine._solve_sparse):
+            x = engine._checked(U, c, solve(U, c))
+            assert all(abs(Fraction(v) - w) <= 1e-9 for v, w in zip(x, want)), (solve.__name__, U, c)
 
 
 # ---------------------------------------------------------------------------
@@ -722,15 +771,15 @@ def test_prob_vector_is_frozen():
 
 
 def _record_systems(monkeypatch):
-    """Copies of every (U, c) that engine._system assembles, in order.
-    Each component or SCC block is assembled there once, whichever
-    solver then takes it."""
+    """Every (U, c) that engine._system assembles, in order.  Each
+    component or SCC block is assembled there once, whichever solver
+    then takes it, and no solver changes it."""
     systems = []
     original = engine._system
 
     def recording(rows, block, out):
         U, c = original(rows, block, out)
-        systems.append(([dict(row) for row in U], list(c)))
+        systems.append((U, c))
         return U, c
 
     monkeypatch.setattr(engine, "_system", recording)
@@ -1069,7 +1118,6 @@ def test_sparse_solve_matches_dense_elimination_on_random_blocks():
     rng = random.Random(83)
     for k in [64, 65, 100, 400] + [rng.randint(64, 400) for _ in range(12)]:
         U, c = engine._system(*_leaky_scc_block(rng, k))
-        # The dense view, taken before the sparse solve eliminates U in place.
         A = np.zeros((k, k))
         for j, row in enumerate(U):
             for i, v in row.items():
