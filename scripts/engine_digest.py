@@ -9,10 +9,11 @@ floats, so two trees that print the same digest compute bit-identical
 vectors.  One chain lacks the proposition c, so bodies naming it read
 c as false everywhere.
 
-The bodies are also scored with check_each on the disjoint union of the
-chains projected onto a, b, c, as pts scores a sample.  The script exits 1 if any chain's slice of the union's vector
-differs from the chain's own vector, or if the union and the chains
-disagree on which bodies fail to solve.
+The bodies are also scored with check_each on the union of a sample of
+the chains projected onto a, b, c, and each chain is read at its offset
+in it, as pts reads a sample.  The script exits 1 if any chain's part of
+the union's vector differs from the chain's own vector, or if the union
+and the chains disagree on which bodies fail to solve.
 
 Run it on two trees and compare the printed digests:
 
@@ -21,9 +22,8 @@ Run it on two trees and compare the printed digests:
 import hashlib
 import random
 import sys
-from itertools import accumulate
 
-from pltl_learn.dtmc import Dtmc, disjoint_union, project
+from pltl_learn.dtmc import Dtmc, Sample
 from pltl_learn.engine import LinearSolveError, check_each
 from pltl_learn.learner import gbe_init, gbe_step, size_bucket
 from pltl_learn.ltl import print_ltl
@@ -61,16 +61,16 @@ def union_mismatches(fs, ms, alone) -> list[str]:
     """Bodies whose vectors on the union differ from the chains' own;
     alone[k][j] is repr() of chain k's vector for body j as a tuple, or
     None if its solve failed."""
-    union = disjoint_union([project(m, AP) for m in ms])
-    # Chain k is states starts[k] up to starts[k + 1] of the union.
-    starts = list(accumulate((m.n_states for m in ms), initial=0))
+    # A sample needs a negative chain; the first chain again adds no
+    # content to the union.
+    sample = Sample.build(ms, ms[:1], list(AP))
     bad = []
-    for j, got in check_each(union, fs):
+    for j, got in check_each(sample.union, fs):
         expect = [own[j] for own in alone]
         if isinstance(got, LinearSolveError):
             if None not in expect:
                 bad.append(print_ltl(fs[j]))
-        elif [repr(tuple(got.values[lo:hi])) for lo, hi in zip(starts, starts[1:])] != expect:
+        elif [repr(tuple(got.values[at : at + m.n_states])) for at, m in zip(sample.offsets, ms)] != expect:
             bad.append(print_ltl(fs[j]))
     return bad
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+
+from .ltl import Lit, LtlParseError, parse_ltl
 
 __all__ = [
     "Dtmc",
@@ -110,11 +111,12 @@ class Sample:
     the listed propositions; names a chain never declares are simply
     false there.
 
-    The learner scores the chains side by side.  What that needs is
-    worked out on first read and cached, as ``Dtmc.rows`` is, so every
-    size of a search shares it: ``distinct`` keeps each content once,
-    ``slots`` says which of them each chain is, ``union`` is their
-    ``disjoint_union`` and ``starts`` their first states in it.
+    Sample.build refuses a name that parse_ltl does not read back as
+    that proposition, so a learned formula prints as text that parses
+    back as itself.  The learner reads every chain through ``union``,
+    where chain i is the states from ``offsets[i]`` on; both are cached
+    on first read, as ``Dtmc.rows`` is, so every size of a search
+    shares them.
     """
 
     positive: tuple[Dtmc, ...]
@@ -126,28 +128,21 @@ class Sample:
             raise DtmcError("a sample needs at least one chain on each side")
 
     @cached_property
-    def slots(self) -> tuple[int, ...]:
-        """For each chain, positives then negatives, its index in distinct."""
-        index: dict[Dtmc, int] = {}
-        return tuple(index.setdefault(m, len(index)) for m in (*self.positive, *self.negative))
-
-    @cached_property
-    def distinct(self) -> tuple[Dtmc, ...]:
-        """The chains with equal content kept once, in order of first
-        appearance among positives then negatives."""
-        chains = (*self.positive, *self.negative)
-        # slots numbers the contents in order of first appearance.
-        return tuple(chains[self.slots.index(k)] for k in range(max(self.slots) + 1))
-
-    @cached_property
     def union(self) -> Dtmc:
-        """The distinct chains side by side, as one chain."""
-        return disjoint_union(self.distinct)
+        """The chains with equal content kept once, in order of first
+        appearance among positives then negatives, side by side as one
+        chain."""
+        return disjoint_union(dict.fromkeys((*self.positive, *self.negative)))
 
     @cached_property
-    def starts(self) -> tuple[int, ...]:
-        """distinct[k] is states starts[k] up to starts[k + 1] of union."""
-        return tuple(accumulate((m.n_states for m in self.distinct), initial=0))
+    def offsets(self) -> tuple[int, ...]:
+        """For each chain, positives then negatives, the state of union
+        that is its state 0; chains with equal content share one."""
+        chains = (*self.positive, *self.negative)
+        at, n = dict.fromkeys(chains, 0), 0
+        for m in at:
+            at[m], n = n, n + m.n_states
+        return tuple(at[m] for m in chains)
 
     @staticmethod
     def build(
@@ -157,6 +152,13 @@ class Sample:
             ap = sorted({a for m in (*positive, *negative) for a in m.ap})
         elif not isinstance(ap, (list, tuple)) or not all(isinstance(a, str) for a in ap):
             raise DtmcError("ap must be a list of names")
+        for a in ap:
+            try:
+                if parse_ltl(a) == Lit(a):
+                    continue
+            except LtlParseError:
+                pass
+            raise DtmcError(f"proposition {a!r} is not a name a formula can use")
         ap_t = tuple(ap)
         return Sample(
             tuple(project(m, ap_t) for m in positive),

@@ -120,9 +120,9 @@ class RunStats:
     """Per-size search counters, phase timings, and engine-call total.
 
     engine_calls counts body x chain evaluations, one per body for each
-    chain of the sample.  pts scores a body on every distinct chain of
-    the sample with one check_ltl call on their disjoint union, so it
-    calls check_ltl once per body unless a solve fails.
+    chain of the sample.  pts scores a body on every chain of the sample
+    with one check_ltl call on sample.union, so it calls check_ltl once
+    per body unless a solve fails.
 
     For every size whose scan completed, constructed equals
     pruned_temporal + pruned_boolean + checked at that size.
@@ -332,53 +332,43 @@ def pts(
     atom alone classifies every chain (it missed delta, and any pair
     holding it would admit it without a margin).
 
-    Chains with equal content are evaluated once, and the distinct ones
-    side by side: each body is one check_ltl call on sample.union, built
-    once per sample, where each chain's slice takes the values it takes
-    alone.  engine.check_each scores the bodies on the union in the
-    order it picks, so the union's initial refinement is built once per
-    call of pts, each shared prefix is refined once, and only one path
-    of refined chains is alive at a time.  The scan itself
-    then runs in the given order over each chain's (init, all 0, all 1)
-    summary, read from that chain's slice of the union's values.  When
-    the union's solve fails, the body is scored again on each distinct
-    chain alone, so results, stats and the body, role and index an
-    EngineFailure names are those of a plain loop over bodies, then
-    positive and negative chains.
+    Each body is one check_ltl call on sample.union, where chains with
+    equal content appear once, and chain i's (init, all 0, all 1)
+    summary is read from the union's values at sample.offsets[i], which
+    are the values chain i takes alone.  engine.check_each scores the
+    bodies in the order it picks, so the union's initial refinement is
+    built once per call of pts, each shared prefix is refined once, and
+    only one path of refined chains is alive at a time; the scan then
+    runs in the given order.  When the union's solve fails, each
+    distinct chain is scored alone, once, so results, stats and the
+    body, role and index an EngineFailure names are those of a plain
+    loop over bodies, then positive and negative chains.
     """
     formulas = list(formulas)
-    chains = [("positive", i) for i in range(len(sample.positive))]
-    chains += [("negative", i) for i in range(len(sample.negative))]
-    distinct, starts = sample.distinct, sample.starts
-    # scores[slot][j]: (init, all values == 0.0, all values == 1.0), or
-    # the solver error, of body j on that chain.
-    scores: list[list] = [[None] * len(formulas) for _ in distinct]
+    located = list(zip(sample.offsets, (*sample.positive, *sample.negative)))
+    # scores[j][i]: (init, all values == 0.0, all values == 1.0), or the
+    # solver error, of body j on chain i.
+    scores: list[list] = [None] * len(formulas)
     for j, v in check_each(sample.union, formulas):
         if isinstance(v, LinearSolveError):
-            # Find the failing chains by scoring each alone.
-            for slot, m in enumerate(distinct):
-                try:
-                    scores[slot][j] = _summary(check_ltl(m, formulas[j]).values, 0, m)
-                except LinearSolveError as err:
-                    scores[slot][j] = err
-            continue
-        for slot, m in enumerate(distinct):
-            scores[slot][j] = _summary(v.values, starts[slot], m)
+            # Find the failing chains by scoring each distinct one alone.
+            alone = {at: _alone(m, formulas[j]) for at, m in dict(located).items()}
+            scores[j] = [alone[at] for at, _ in located]
+        else:
+            scores[j] = [_summary(v.values, at, m) for at, m in located]
 
     n_pos = len(sample.positive)
     consistent: list[tuple[PltlAtom, float]] = []
     discards: list[LtlFormula] = []
     pooled: list[ScoredCandidate] = []
-    for j, f in enumerate(formulas):
-        got = []
-        for (role, i), slot in zip(chains, sample.slots):
-            score = scores[slot][j]
+    for f, got in zip(formulas, scores):
+        for i, score in enumerate(got):
             if isinstance(score, LinearSolveError):
-                raise EngineFailure(f, role, i, score) from score
-            got.append(score)
+                role, k = ("positive", i) if i < n_pos else ("negative", i - n_pos)
+                raise EngineFailure(f, role, k, score) from score
         if stats is not None:
             stats.add("checked", f.size)
-            stats.engine_calls += len(chains)
+            stats.engine_calls += len(located)
         pos = tuple(init for init, _, _ in got[:n_pos])
         neg = tuple(init for init, _, _ in got[n_pos:])
         lo, hi = min(pos), max(neg)
@@ -399,12 +389,21 @@ def pts(
 
 
 def _summary(values: memoryview, start: int, m: Dtmc) -> tuple[float, bool, bool]:
-    """(init, all 0, all 1) of chain m, whose values start at values[start].
+    """(init, all 0, all 1) of chain m, whose state 0 is values[start].
 
     check_ltl clamps values into [0, 1], so all are 1 when the least is;
     own[0] settles most slices before min reads them all."""
     own = values[start : start + m.n_states]
     return values[start + m.init], not any(own), own[0] == 1.0 and min(own) == 1.0
+
+
+def _alone(m: Dtmc, f: LtlFormula) -> tuple[float, bool, bool] | LinearSolveError:
+    """The _summary of f on chain m checked alone, or the LinearSolveError
+    that check raises."""
+    try:
+        return _summary(check_ltl(m, f).values, 0, m)
+    except LinearSolveError as err:
+        return err
 
 
 def best_threshold(pos, neg) -> tuple[float, int]:
@@ -529,16 +528,13 @@ def _holds(f: PltlFormula, m: Dtmc, states: list[int]) -> np.ndarray:
 def check_consistency(f: PltlFormula, sample: Sample) -> bool:
     """True iff f holds on every positive chain and no negative one.
 
-    Each atom is one check_ltl call on sample.union, and a chain's value
-    is read at its own initial state within its slice, which holds the
-    values the chain takes alone; so each chain gets the verdict it
-    gets when checked alone.
+    Each atom is one check_ltl call on sample.union, and chain i's value
+    is read at state sample.offsets[i] + m.init of it, which holds the
+    value chain i takes alone; so each chain gets the verdict it gets
+    when checked alone.
     """
-    inits = [
-        sample.starts[k] + m.init
-        for m, k in zip((*sample.positive, *sample.negative), sample.slots)
-    ]
-    holds = _holds(f, sample.union, inits)
+    chains = (*sample.positive, *sample.negative)
+    holds = _holds(f, sample.union, [at + m.init for at, m in zip(sample.offsets, chains)])
     n_pos = len(sample.positive)
     return bool(holds[:n_pos].all() and not holds[n_pos:].any())
 

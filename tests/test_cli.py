@@ -259,6 +259,48 @@ def test_learn_manifest_bad_json(tmp_path, capsys):
     assert err.startswith("error: bad manifest JSON: Expecting property name")
 
 
+def _labelled_chain(names, p):
+    # State 1 holds every name and is reached from state 0 with mass p.
+    return {
+        "states": 3,
+        "init": 0,
+        "ap": names,
+        "labels": {"1": names},
+        "transitions": [[0, 1, p], [0, 2, 1.0 - p], [1, 1, 1.0], [2, 2, 1.0]],
+    }
+
+
+def _write_labelled_sample(tmp_path, names, ap=None):
+    (tmp_path / "pos.json").write_text(json.dumps(_labelled_chain(names, 0.75)))
+    (tmp_path / "neg.json").write_text(json.dumps(_labelled_chain(names, 0.25)))
+    doc = {
+        "positive": [{"format": "json", "path": "pos.json"}],
+        "negative": [{"format": "json", "path": "neg.json"}],
+        "params": {"max_size": 2},
+    }
+    if ap is not None:
+        doc["ap"] = ap
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    return tmp_path / "manifest.json"
+
+
+@pytest.mark.parametrize("name", ["a&b", "F", "x y"])
+def test_learn_rejects_a_proposition_a_formula_cannot_name(tmp_path, capsys, name):
+    # F(a&b) would print for the state labelled "a&b", and read back as
+    # F((a & b)); F(F) would not read back at all.
+    rc, out, err = run(capsys, "learn", "--sample", str(_write_labelled_sample(tmp_path, [name])))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: proposition {name!r} is not a name a formula can use\n"
+
+
+def test_learn_projects_a_bad_name_away(tmp_path, capsys):
+    manifest = _write_labelled_sample(tmp_path, ["a&b", "b"], ap=["b"])
+    rc, out, _ = run(capsys, "learn", "--sample", str(manifest))
+    assert rc == 0
+    assert out.splitlines() == ["P>0.5 [F(b)]  margin=0.500000", "P>0.5 [X(b)]  margin=0.500000"]
+
+
 _ONE_STATE = {"states": 1, "init": 0, "ap": [], "labels": {}, "transitions": [[0, 0, 1.0]]}
 # Eleven states, so label keys that int() reads as 3, 5 or 10 name one.
 _RING = {

@@ -25,6 +25,8 @@ from pltl_learn.dtmc import (
     project,
     validate,
 )
+from pltl_learn.engine import check_ltl
+from pltl_learn.ltl import parse_ltl
 
 
 def _chain(**kw) -> Dtmc:
@@ -451,11 +453,68 @@ def test_sample_build_rejects_an_alphabet_that_is_not_a_list_of_names(ap):
         Sample.build([_chain()], [_chain()], ap)
 
 
+@pytest.mark.parametrize("name", ["a&b", "F", "X", "U", "x y", "", "1a", "!a", " a"])
+def test_sample_build_rejects_a_name_a_formula_cannot_use(name):
+    # A formula learned over such a name would print as text that parses
+    # as another formula, or not at all.
+    m = _chain(ap=(name,), labels=(frozenset(), frozenset({name})))
+    message = f"proposition {name!r} is not a name a formula can use"
+    with pytest.raises(DtmcError) as info:
+        Sample.build([m], [m])
+    assert str(info.value) == message
+    with pytest.raises(DtmcError) as info:
+        Sample.build([_chain()], [_chain()], ap=["a", name])
+    assert str(info.value) == message
+
+
+def test_sample_build_accepts_identifiers_and_projects_bad_names_away():
+    m = _chain(ap=("a&b", "_x1", "goal", "é"), labels=(frozenset({"goal"}), frozenset({"a&b", "é"})))
+    s = Sample.build([m], [m], ap=["_x1", "goal", "é"])
+    assert s.ap == ("_x1", "goal", "é")
+    assert s.positive[0].labels == (frozenset({"goal"}), frozenset({"é"}))
+
+
 def test_sample_needs_both_sides():
     with pytest.raises(DtmcError, match="each side"):
         Sample.build([], [_chain()])
     with pytest.raises(DtmcError, match="each side"):
         Sample.build([_chain()], [])
+
+
+def test_sample_union_keeps_each_content_once_and_offsets_locate_every_chain():
+    rng = random.Random(5)
+    a, b, c = (random_chain(rng, max_states=6) for _ in range(3))
+    assert len({a, b, c}) == 3
+    s = Sample.build([a, b, a], [b, c])
+    na, nb = a.n_states, b.n_states
+    assert s.union == disjoint_union([a, b, c])
+    assert s.offsets == (0, na, 0, na, na + nb)
+
+
+def test_sample_of_one_content_is_read_through_that_chain():
+    m = random_chain(random.Random(6), max_states=6)
+    s = Sample.build([m, m], [m])
+    assert s.union == m
+    assert s.union is s.positive[0]
+    assert s.offsets == (0, 0, 0)
+
+
+def test_each_chain_takes_the_union_values_at_its_offset_bit_for_bit():
+    bodies = [
+        parse_ltl(t)
+        for t in ("a", "X(b)", "F(a)", "G(!b)", "(a U b)", "(F(a) U X(!a))", "(G(a) | F(b))", "X(G(F(b)))")
+    ]
+    rng = random.Random(7)
+    for _ in range(25):
+        pool = [random_chain(rng, max_states=8) for _ in range(3)]
+        pos = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        neg = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        s = Sample.build(pos, neg)
+        for f in bodies:
+            whole = check_ltl(s.union, f).values
+            for at, m in zip(s.offsets, (*s.positive, *s.negative)):
+                own = check_ltl(m, f).values
+                assert whole[at : at + m.n_states].tobytes() == own.tobytes()
 
 
 # ---------------------------------------------------------------------------
